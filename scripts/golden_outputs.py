@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Write a fixed set of batbench CLI outputs, one directory per case.
+
+Every case runs ``python -m batbench.cli`` from this checkout's ``src/`` in
+a fresh process whose working directory is the case directory, so an
+``--output`` file and its ``.config.json`` sidecar land beside the
+captured ``stdout``, ``stderr`` and ``exit_code``.  Two checkouts that
+produce the same CLI bytes produce identical trees, so
+
+    python scripts/golden_outputs.py /tmp/before   # in the old checkout
+    python scripts/golden_outputs.py /tmp/after    # in the new checkout
+    diff -r /tmp/before /tmp/after
+
+is a byte-identity check of the whole CLI surface: run, compare, trace,
+list-functions and --help; CSV and JSONL; stdout and files; errors and
+exit codes.
+
+Usage: python scripts/golden_outputs.py OUTDIR
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# One override flag per algorithm, each a value other than its default.
+OVERRIDES = {"bat": ["--alpha", "0.8"], "pso": ["--c1", "1.5"], "ga": ["--pm", "0.2"]}
+SMALL = ["--dim", "2", "--trials", "3", "--max-evals", "400", "--seed", "5"]
+
+
+def _cases() -> dict[str, list[str]]:
+    cases: dict[str, list[str]] = {"list-functions": ["list-functions"]}
+    for sub in ("run", "compare", "trace"):
+        cases[f"help-{sub}"] = [sub, "--help"]
+    for algo, override in OVERRIDES.items():
+        for fmt in ("csv", "jsonl"):
+            base = ["run", "--algorithm", algo, "--function", "dejong", *SMALL,
+                    "--tolerance", "0.01", "--format", fmt]
+            for tuned, extra in (("default", []), ("override", override)):
+                cases[f"run-{algo}-{fmt}-{tuned}-stdout"] = base + extra
+                cases[f"run-{algo}-{fmt}-{tuned}-file"] = base + extra + ["--output", f"out.{fmt}"]
+            # A budget below the population: no trial evaluates anything.
+            cases[f"run-{algo}-{fmt}-below-population"] = [
+                "run", "--algorithm", algo, "--function", "dejong", "--dim", "2",
+                "--trials", "2", "--max-evals", "10", "--format", fmt,
+            ]
+        cases[f"run-{algo}-eggcrate-no-tolerance-pop"] = [
+            "run", "--algorithm", algo, "--function", "eggcrate", "--trials", "2",
+            "--max-evals", "333", "--pop", "11", "--seed", "8",
+        ]
+        for where, extra in (("stdout", []), ("file", ["--output", "trace.jsonl"])):
+            cases[f"trace-{algo}-{where}"] = [
+                "trace", "--algorithm", algo, "--function", "rosenbrock_paper", "--dim", "2",
+                "--pop", "7", "--iters", "6", "--seed", "3", *extra,
+            ]
+        cases[f"trace-{algo}-override"] = [
+            "trace", "--algorithm", algo, "--function", "eggcrate", "--pop", "5",
+            "--iters", "4", *override,
+        ]
+    for fmt in ("csv", "jsonl"):
+        for workers in ("1", "2"):
+            base = ["compare", "--functions", "dejong,ackley", "--dim", "2",
+                    "--algorithms", "bat,pso,ga", "--trials", "4", "--tolerance", "0.5",
+                    "--max-evals", "900", "--seed", "3", "--workers", workers, "--format", fmt]
+            cases[f"compare-{fmt}-w{workers}-stdout"] = base
+            cases[f"compare-{fmt}-w{workers}-file"] = base + ["--output", f"cmp.{fmt}"]
+        cases[f"compare-{fmt}-all-overrides"] = [
+            "compare", "--functions", "eggcrate", "--algorithms", "ga,bat,pso", "--trials", "2",
+            "--max-evals", "500", "--fmin", "1", "--fmax", "50", "--gamma", "0.5",
+            "--c2", "1.0", "--inertia", "0.7", "--pc", "0.5",
+            *OVERRIDES["bat"], *OVERRIDES["pso"], *OVERRIDES["ga"], "--format", fmt,
+        ]
+    errors = {
+        # exit 2: invalid configuration or flags
+        "err2-alpha": ["run", "--algorithm", "bat", "--function", "dejong", "--alpha", "1.5",
+                       "--output", "never.csv"],
+        "err2-eggcrate-dim": ["run", "--algorithm", "bat", "--function", "eggcrate", "--dim", "3"],
+        "err2-flag": ["run", "--no-such-flag"],
+        "err2-trials": ["run", "--algorithm", "pso", "--function", "dejong", "--trials", "0"],
+        "err2-pso-pop": ["run", "--algorithm", "pso", "--function", "dejong", "--pop", "1"],
+        "err2-ga-pm": ["run", "--algorithm", "ga", "--function", "dejong", "--pm", "2"],
+        "err2-compare-empty": ["compare", "--functions", ",", "--algorithms", "bat"],
+        "err2-trace-iters": ["trace", "--algorithm", "bat", "--function", "dejong", "--iters", "0"],
+        "err2-format": ["run", "--algorithm", "bat", "--function", "dejong", "--format", "xml"],
+        "err2-max-evals": ["run", "--algorithm", "bat", "--function", "dejong", "--max-evals", "0"],
+        # exit 3: unknown function or algorithm
+        "err3-function": ["run", "--algorithm", "bat", "--function", "nosuch", "--output", "never.csv"],
+        "err3-algorithm": ["run", "--algorithm", "annealer", "--function", "dejong"],
+        "err3-compare": ["compare", "--functions", "dejong", "--algorithms", "bat,annealer"],
+        "err3-compare-function": ["compare", "--functions", "dejong,nosuch", "--format", "jsonl"],
+        "err3-trace": ["trace", "--algorithm", "annealer", "--function", "dejong", "--iters", "2"],
+    }
+    cases.update(errors)
+    return cases
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": "0"}
+    for name, args in _cases().items():
+        case = outdir / name
+        case.mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "batbench.cli", *args],
+            cwd=case, env=env, capture_output=True,
+        )
+        (case / "stdout").write_bytes(proc.stdout)
+        (case / "stderr").write_bytes(proc.stderr)
+        (case / "exit_code").write_text(f"{proc.returncode}\n")
+        (case / "argv").write_text(" ".join(args) + "\n")
+    print(f"wrote {len(_cases())} cases to {outdir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

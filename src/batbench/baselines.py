@@ -7,10 +7,8 @@ same trajectory-sink contract as the bat optimizer.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,12 +18,11 @@ from .core import (
     EvalBudget,
     Objective,
     RandomStream,
-    TrajectoryRecord,
     Vector,
     counted_evaluate,
     uniform_sample,
 )
-from .results import TrialResult
+from .results import Recorder, Sweeps, TrialResult, drive_trial
 
 __all__ = [
     "PsoParams",
@@ -35,8 +32,6 @@ __all__ = [
     "crossover_pair",
     "mutate_genes",
 ]
-
-Recorder = Callable[[TrajectoryRecord], None]
 
 # Without a velocity cap the inertia-1 update diverges; cap each velocity
 # component at half the coordinate range.
@@ -85,35 +80,37 @@ class GaParams:
             raise ValueError("max_generations must be >= 1")
 
 
-def _tolerance_met(best: float, obj: Objective, stop_at: Optional[float]) -> bool:
-    return stop_at is not None and obj.known_min is not None and best - obj.known_min <= stop_at
-
-
-def _result(
-    algorithm: str,
-    obj: Objective,
-    seed: int,
-    budget: EvalBudget,
-    success: bool,
-    best_value: float,
-    best_position: Optional[Vector],
-    iterations: int,
-    start: float,
-) -> TrialResult:
-    return TrialResult(
-        algorithm=algorithm,
-        function=obj.name,
-        dim=obj.dim,
-        seed=seed,
-        evaluations_used=budget.used,
-        success=success,
-        best_value=best_value,
-        iterations=iterations,
-        best_position=None
-        if best_position is None
-        else tuple(float(v) for v in np.asarray(best_position)),
-        wall_time=time.perf_counter() - start,
-    )
+def _pso_sweeps(params: PsoParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:
+    n, d = params.n, obj.dim
+    bounds = obj.bounds
+    x = np.stack([uniform_sample(bounds, rng) for _ in range(n)])
+    v = np.zeros((n, d))
+    values = np.array([counted_evaluate(obj, xi, budget) for xi in x])
+    pbest = x.copy()
+    pbest_val = values.copy()
+    g = int(np.argmin(values))
+    gbest = x[g].copy()
+    gbest_val = float(values[g])
+    vmax = VELOCITY_CLAMP_FRACTION * bounds.width
+    while True:
+        yield gbest_val, gbest, x
+        u1 = rng.uniform_vector(n * d).reshape(n, d)
+        u2 = rng.uniform_vector(n * d).reshape(n, d)
+        v = params.inertia * v + params.c1 * u1 * (pbest - x) + params.c2 * u2 * (gbest - x)
+        np.clip(v, -vmax, vmax, out=v)
+        x = np.clip(x + v, bounds.lower, bounds.upper)
+        for i in range(n):
+            try:
+                fi = counted_evaluate(obj, x[i], budget)
+            except BudgetExceededError:
+                yield gbest_val, gbest, None
+                return
+            if fi < pbest_val[i]:
+                pbest_val[i] = fi
+                pbest[i] = x[i]
+            if fi < gbest_val:
+                gbest_val = fi
+                gbest = x[i].copy()
 
 
 def run_pso(
@@ -125,53 +122,10 @@ def run_pso(
     recorder: Optional[Recorder] = None,
 ) -> TrialResult:
     """Global-best PSO: v <- I v + c1 u1 (pbest - x) + c2 u2 (gbest - x)."""
-    start = time.perf_counter()
-    rng = RandomStream(seed)
-    n, d = params.n, obj.dim
-    bounds = obj.bounds
-    if budget.remaining < n:
-        return _result("pso", obj, seed, budget, False, math.inf, None, 0, start)
-
-    x = np.stack([uniform_sample(bounds, rng) for _ in range(n)])
-    v = np.zeros((n, d))
-    values = np.array([counted_evaluate(obj, xi, budget) for xi in x])
-    pbest = x.copy()
-    pbest_val = values.copy()
-    g = int(np.argmin(values))
-    gbest = x[g].copy()
-    gbest_val = float(values[g])
-    vmax = VELOCITY_CLAMP_FRACTION * bounds.width
-
-    iterations = 0
-    terminated = False
-    while not terminated:
-        if _tolerance_met(gbest_val, obj, stop_at):
-            break
-        if iterations >= params.max_iterations or budget.remaining == 0:
-            break
-        u1 = rng.uniform_vector(n * d).reshape(n, d)
-        u2 = rng.uniform_vector(n * d).reshape(n, d)
-        v = params.inertia * v + params.c1 * u1 * (pbest - x) + params.c2 * u2 * (gbest - x)
-        np.clip(v, -vmax, vmax, out=v)
-        x = np.clip(x + v, bounds.lower, bounds.upper)
-        for i in range(n):
-            try:
-                fi = counted_evaluate(obj, x[i], budget)
-            except BudgetExceededError:
-                terminated = True
-                break
-            if fi < pbest_val[i]:
-                pbest_val[i] = fi
-                pbest[i] = x[i]
-            if fi < gbest_val:
-                gbest_val = fi
-                gbest = x[i].copy()
-        else:
-            iterations += 1
-            if recorder is not None:
-                recorder(TrajectoryRecord(iterations, x.copy(), gbest_val))
-    success = _tolerance_met(gbest_val, obj, stop_at)
-    return _result("pso", obj, seed, budget, success, gbest_val, gbest, iterations, start)
+    return drive_trial(
+        "pso", lambda rng: _pso_sweeps(params, obj, budget, rng), params.n, params.max_iterations,
+        obj, seed, budget, stop_at, recorder,
+    )
 
 
 def _roulette(rng: RandomStream, cumulative: np.ndarray) -> int:
@@ -208,41 +162,17 @@ def mutate_genes(
     return mask
 
 
-def run_ga(
-    params: GaParams,
-    obj: Objective,
-    seed: int,
-    budget: EvalBudget,
-    stop_at: Optional[float] = None,
-    recorder: Optional[Recorder] = None,
-) -> TrialResult:
-    """Generational GA: rank-weighted roulette selection, uniform crossover,
-    per-gene Gaussian mutation (sigma = 10% of range), full replacement.
-
-    No elitism: the best-ever individual is tracked for reporting only and
-    is never reinserted.
-    """
-    start = time.perf_counter()
-    rng = RandomStream(seed)
-    n, d = params.n, obj.dim
+def _ga_sweeps(params: GaParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:
+    n = params.n
     bounds = obj.bounds
     sigma = MUTATION_SIGMA_FRACTION * bounds.width
-    if budget.remaining < n:
-        return _result("ga", obj, seed, budget, False, math.inf, None, 0, start)
-
     pop = np.stack([uniform_sample(bounds, rng) for _ in range(n)])
     values = np.array([counted_evaluate(obj, p, budget) for p in pop])
     b = int(np.argmin(values))
     best_val = float(values[b])
     best_pos = pop[b].copy()
-
-    generations = 0
-    terminated = False
-    while not terminated:
-        if _tolerance_met(best_val, obj, stop_at):
-            break
-        if generations >= params.max_generations or budget.remaining == 0:
-            break
+    while True:
+        yield best_val, best_pos, pop
         # Rank transform: best individual gets weight n, worst gets 1.
         order = np.argsort(values, kind="stable")
         weights = np.empty(n)
@@ -268,23 +198,36 @@ def run_ga(
             try:
                 new_values[i] = counted_evaluate(obj, offspring[i], budget)
             except BudgetExceededError:
-                terminated = True
                 # Partial generation still counts its observations.
                 for j in range(i):
                     if new_values[j] < best_val:
                         best_val = float(new_values[j])
                         best_pos = offspring[j].copy()
-                break
-        if terminated:
-            break
+                yield best_val, best_pos, None
+                return
         pop = offspring
         values = new_values
         b = int(np.argmin(values))
         if values[b] < best_val:
             best_val = float(values[b])
             best_pos = pop[b].copy()
-        generations += 1
-        if recorder is not None:
-            recorder(TrajectoryRecord(generations, pop.copy(), best_val))
-    success = _tolerance_met(best_val, obj, stop_at)
-    return _result("ga", obj, seed, budget, success, best_val, best_pos, generations, start)
+
+
+def run_ga(
+    params: GaParams,
+    obj: Objective,
+    seed: int,
+    budget: EvalBudget,
+    stop_at: Optional[float] = None,
+    recorder: Optional[Recorder] = None,
+) -> TrialResult:
+    """Generational GA: rank-weighted roulette selection, uniform crossover,
+    per-gene Gaussian mutation (sigma = 10% of range), full replacement.
+
+    No elitism: the best-ever individual is tracked for reporting only and
+    is never reinserted.
+    """
+    return drive_trial(
+        "ga", lambda rng: _ga_sweeps(params, obj, budget, rng), params.n, params.max_generations,
+        obj, seed, budget, stop_at, recorder,
+    )

@@ -12,9 +12,8 @@ ceiling.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,13 +23,12 @@ from .core import (
     EvalBudget,
     Objective,
     RandomStream,
-    TrajectoryRecord,
     Vector,
     clamp_to_bounds,
     counted_evaluate,
     uniform_sample,
 )
-from .results import TrialResult
+from .results import Recorder, Sweeps, TrialResult, drive_trial
 
 __all__ = [
     "BatParams",
@@ -44,8 +42,6 @@ __all__ = [
     "bat_step",
     "run_bat",
 ]
-
-Recorder = Callable[[TrajectoryRecord], None]
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,14 @@ class BatState:
     budget_terminated: bool = False
 
 
-def _draw_population(params: BatParams, obj: Objective, rng: RandomStream) -> list[Bat]:
+def init_bats(
+    params: BatParams, obj: Objective, rng: RandomStream, budget: EvalBudget
+) -> BatState:
+    """Draw and evaluate the initial population (n evaluations)."""
+    if budget.remaining < params.n:
+        raise BudgetExceededError(
+            f"budget remaining {budget.remaining} cannot initialize {params.n} bats"
+        )
     f_span = params.f_max - params.f_min
     a_lo, a_hi = params.loudness_range
     r_lo, r_hi = params.pulse_range
@@ -135,18 +138,6 @@ def _draw_population(params: BatParams, obj: Objective, rng: RandomStream) -> li
                 initial_pulse_rate=pulse,
             )
         )
-    return bats
-
-
-def init_bats(
-    params: BatParams, obj: Objective, rng: RandomStream, budget: EvalBudget
-) -> BatState:
-    """Draw and evaluate the initial population (n evaluations)."""
-    if budget.remaining < params.n:
-        raise BudgetExceededError(
-            f"budget remaining {budget.remaining} cannot initialize {params.n} bats"
-        )
-    bats = _draw_population(params, obj, rng)
     for bat in bats:
         bat.value = counted_evaluate(obj, bat.position, budget)
     best = min(bats, key=lambda b: b.value)
@@ -239,21 +230,15 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
             return state
         accept_and_update(bat, candidate, value, state, params, state.rng)
     state.iteration += 1
-    # Re-rank: acceptance already tracks the running best, so this is a
-    # consistency refresh over the cached per-bat values.
-    best = min(state.bats, key=lambda b: b.value)
-    if best.value < state.best_value:
-        state.best_position = best.position
-        state.best_value = best.value
     return state
 
 
-def _tolerance_met(best_value: float, obj: Objective, stop_at: Optional[float]) -> bool:
-    return (
-        stop_at is not None
-        and obj.known_min is not None
-        and best_value - obj.known_min <= stop_at
-    )
+def _sweeps(params: BatParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:
+    state = init_bats(params, obj, rng, budget)
+    while True:
+        positions = None if state.budget_terminated else np.array([b.position for b in state.bats])
+        yield state.best_value, state.best_position, positions
+        bat_step(state, params, obj)
 
 
 def run_bat(
@@ -263,53 +248,13 @@ def run_bat(
     budget: EvalBudget,
     stop_at: Optional[float] = None,
     recorder: Optional[Recorder] = None,
-) -> tuple[BatState, TrialResult]:
+) -> TrialResult:
     """Full trial: init, iterate to tolerance/budget/iteration limit.
 
     When a recorder is supplied it receives one TrajectoryRecord per
     completed iteration (all n positions plus the running best value).
     """
-    start = time.perf_counter()
-    rng = RandomStream(seed)
-    try:
-        state = init_bats(params, obj, rng, budget)
-    except BudgetExceededError:
-        bats = _draw_population(params, obj, rng)
-        state = BatState(
-            bats=bats,
-            best_position=bats[0].position,
-            best_value=math.inf,
-            iteration=0,
-            rng=rng,
-            budget=budget,
-            budget_terminated=True,
-        )
-    while not state.budget_terminated:
-        if _tolerance_met(state.best_value, obj, stop_at):
-            break
-        if state.iteration >= params.max_iterations or state.budget.remaining == 0:
-            break
-        before = state.iteration
-        bat_step(state, params, obj)
-        if recorder is not None and state.iteration > before:
-            recorder(
-                TrajectoryRecord(
-                    iteration=state.iteration,
-                    positions=np.stack([b.position for b in state.bats]),
-                    best_value=state.best_value,
-                )
-            )
-    success = _tolerance_met(state.best_value, obj, stop_at)
-    result = TrialResult(
-        algorithm="bat",
-        function=obj.name,
-        dim=obj.dim,
-        seed=seed,
-        evaluations_used=budget.used,
-        success=success,
-        best_value=state.best_value,
-        iterations=state.iteration,
-        best_position=tuple(float(v) for v in np.asarray(state.best_position)),
-        wall_time=time.perf_counter() - start,
+    return drive_trial(
+        "bat", lambda rng: _sweeps(params, obj, budget, rng), params.n, params.max_iterations,
+        obj, seed, budget, stop_at, recorder,
     )
-    return state, result

@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .baselines import GaParams, PsoParams
-from .bat import BatParams
 from .benchmarks import (
     UnknownBenchmarkError,
     benchmark_spec,
@@ -38,6 +38,7 @@ from .harness import (
     ALGORITHMS,
     UnknownAlgorithmError,
     experiment_trials,
+    lookup_algorithm,
     run_trial,
     summarize,
 )
@@ -91,54 +92,59 @@ class RunConfig:
         return json.dumps(payload, sort_keys=True)
 
 
-_OVERRIDE_FLAGS = ("alpha", "gamma", "fmin", "fmax", "c1", "c2", "inertia", "pm", "pc")
+# Every algorithm's parameter flags but --iters, which only trace takes.
+_OVERRIDE_FLAGS = tuple(flag for entry in ALGORITHMS.values() for flag in entry.flags if flag != "iters")
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in _OVERRIDE_FLAGS if getattr(args, k, None) is not None}
 
 
-def _build_params(algorithm: str, cfg: RunConfig):
-    """Algorithm params from population + overrides; invariants validated here."""
-    ov = cfg.overrides
-    if cfg.iters is not None:
-        max_iter = cfg.iters
+def _build_params(cfg: RunConfig) -> dict:
+    """Each algorithm's params: its class defaults with the population, the
+    iteration cap and the override flags it maps; invariants validated here."""
+    # Without --iters, let the evaluation budget bind first.
+    iters = cfg.iters if cfg.iters is not None else max(1, cfg.max_evals // cfg.population + 1)
+    flags = {**cfg.overrides, "iters": iters}
+    by_algorithm = {}
+    for name in cfg.algorithms:
+        params_cls, _, fields = ALGORITHMS[name]
+        mapped = {fields[flag]: value for flag, value in flags.items() if flag in fields}
+        by_algorithm[name] = dataclasses.replace(params_cls(), n=cfg.population, **mapped)
+    return by_algorithm
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _json_value(value) -> str:
+    """JSON text of a record value; a non-finite float, which JSON cannot
+    hold, is written as null."""
+    if isinstance(value, float):
+        return _fmt(value) if math.isfinite(value) else "null"
+    return json.dumps(value)
+
+
+def _emit(cfg: RunConfig, records: list[dict]) -> None:
+    """Write (key, value) records as a commented CSV table or as JSONL with
+    a config sidecar; floats keep 17 significant digits in both."""
+    if cfg.output_format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(list(records[0]))
+        writer.writerows([_csv_cell(v) for v in record.values()] for record in records)
+        _write_output(cfg, _comment_header(cfg) + buf.getvalue(), sidecar=False)
     else:
-        # Let the evaluation budget bind first.
-        max_iter = max(1, cfg.max_evals // cfg.population + 1)
-    if algorithm == "bat":
-        return BatParams(
-            n=cfg.population,
-            f_min=ov.get("fmin", 0.0),
-            f_max=ov.get("fmax", 100.0),
-            alpha=ov.get("alpha", 0.9),
-            gamma=ov.get("gamma", 0.9),
-            max_iterations=max_iter,
-        )
-    if algorithm == "pso":
-        return PsoParams(
-            n=cfg.population,
-            c1=ov.get("c1", 2.0),
-            c2=ov.get("c2", 2.0),
-            inertia=ov.get("inertia", 1.0),
-            max_iterations=max_iter,
-        )
-    if algorithm == "ga":
-        return GaParams(
-            n=cfg.population,
-            p_mutation=ov.get("pm", 0.05),
-            p_crossover=ov.get("pc", 0.95),
-            max_generations=max_iter,
-        )
-    raise UnknownAlgorithmError(algorithm)
-
-
-def _csv_rows(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+        lines = [
+            "{" + ", ".join(f'"{k}": {_json_value(v)}' for k, v in record.items()) + "}"
+            for record in records
+        ]
+        _write_output(cfg, "\n".join(lines) + "\n", sidecar=True)
 
 
 def _write_output(cfg: RunConfig, body: str, sidecar: bool) -> None:
@@ -155,23 +161,6 @@ def _comment_header(cfg: RunConfig) -> str:
     return f"# batbench {__version__}\n# config {cfg.to_json()}\n"
 
 
-def _json_record(pairs: list[tuple[str, object]]) -> str:
-    parts = []
-    for key, value in pairs:
-        if value is None:
-            out = "null"
-        elif isinstance(value, bool):
-            out = "true" if value else "false"
-        elif isinstance(value, int):
-            out = str(value)
-        elif isinstance(value, float):
-            out = _fmt(value)
-        else:
-            out = json.dumps(value)
-        parts.append(f'"{key}": {out}')
-    return "{" + ", ".join(parts) + "}"
-
-
 def _trace_line(record: TrajectoryRecord) -> str:
     rows = ",".join(
         "[" + ",".join(_fmt(v) for v in row) + "]" for row in record.positions
@@ -179,7 +168,7 @@ def _trace_line(record: TrajectoryRecord) -> str:
     return '{"iter": %d, "positions": [%s], "best": %s}' % (
         record.iteration,
         rows,
-        _fmt(record.best_value),
+        _json_value(record.best_value),
     )
 
 
@@ -189,80 +178,9 @@ def _cmd_list(_: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        subcommand="run",
-        algorithms=(args.algorithm,),
-        functions=(args.function,),
-        dim=args.dim,
-        trials=args.trials,
-        tolerance=args.tolerance,
-        max_evals=args.max_evals,
-        population=args.pop,
-        overrides=_overrides_from(args),
-        master_seed=args.seed,
-        output=args.output,
-        output_format=args.format,
-        workers=args.workers,
-    )
-    if args.algorithm not in ALGORITHMS:
-        raise UnknownAlgorithmError(args.algorithm)
-    spec = benchmark_spec(args.function, args.dim)
-    params = _build_params(args.algorithm, cfg)
-    trials = experiment_trials(
-        [args.algorithm],
-        spec,
-        args.tolerance,
-        args.max_evals,
-        args.trials,
-        args.seed,
-        params_by_algorithm={args.algorithm: params},
-        workers=args.workers,
-    )[args.algorithm]
-
-    if cfg.output_format == "csv":
-        header = [
-            "function", "dim", "algorithm", "trial", "seed",
-            "evaluations_used", "success", "best_value", "iterations",
-        ]
-        rows = [
-            [
-                r.function, str(r.dim), r.algorithm, str(k), str(r.seed),
-                str(r.evaluations_used), "true" if r.success else "false",
-                _fmt(r.best_value), str(r.iterations),
-            ]
-            for k, r in enumerate(trials)
-        ]
-        body = _comment_header(cfg) + _csv_rows(header, rows)
-        _write_output(cfg, body, sidecar=False)
-    else:
-        lines = [
-            _json_record(
-                [
-                    ("function", r.function),
-                    ("dim", r.dim),
-                    ("algorithm", r.algorithm),
-                    ("trial", k),
-                    ("seed", r.seed),
-                    ("evaluations_used", r.evaluations_used),
-                    ("success", r.success),
-                    ("best_value", r.best_value),
-                    ("iterations", r.iterations),
-                ]
-            )
-            for k, r in enumerate(trials)
-        ]
-        _write_output(cfg, "\n".join(lines) + "\n", sidecar=True)
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    algorithms = tuple(s.strip() for s in args.algorithms.split(",") if s.strip())
-    functions = tuple(s.strip() for s in args.functions.split(",") if s.strip())
-    if not algorithms or not functions:
-        raise ValueError("need at least one algorithm and one function")
-    cfg = RunConfig(
-        subcommand="compare",
+def _campaign_config(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> RunConfig:
+    return RunConfig(
+        subcommand=args.subcommand,
         algorithms=algorithms,
         functions=functions,
         dim=args.dim,
@@ -276,11 +194,43 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         output_format=args.format,
         workers=args.workers,
     )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    cfg = _campaign_config(args, (args.algorithm,), (args.function,))
+    lookup_algorithm(args.algorithm)
+    spec = benchmark_spec(args.function, args.dim)
+    trials = experiment_trials(
+        cfg.algorithms,
+        spec,
+        args.tolerance,
+        args.max_evals,
+        args.trials,
+        args.seed,
+        params_by_algorithm=_build_params(cfg),
+        workers=args.workers,
+    )[args.algorithm]
+    _emit(cfg, [
+        {
+            "function": r.function, "dim": r.dim, "algorithm": r.algorithm, "trial": k,
+            "seed": r.seed, "evaluations_used": r.evaluations_used, "success": r.success,
+            "best_value": r.best_value, "iterations": r.iterations,
+        }
+        for k, r in enumerate(trials)
+    ])
+    return 0
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    algorithms = tuple(s.strip() for s in args.algorithms.split(",") if s.strip())
+    functions = tuple(s.strip() for s in args.functions.split(",") if s.strip())
+    if not algorithms or not functions:
+        raise ValueError("need at least one algorithm and one function")
+    cfg = _campaign_config(args, algorithms, functions)
     for algorithm in algorithms:
-        if algorithm not in ALGORITHMS:
-            raise UnknownAlgorithmError(algorithm)
+        lookup_algorithm(algorithm)
     specs = [benchmark_spec(name, args.dim) for name in functions]
-    params_by_algorithm = {a: _build_params(a, cfg) for a in algorithms}
+    params_by_algorithm = _build_params(cfg)
 
     records = []
     for spec in specs:
@@ -296,42 +246,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
         for algorithm in algorithms:
             summary = summarize(by_algorithm[algorithm])
-            records.append((spec, algorithm, summary))
-
-    if cfg.output_format == "csv":
-        header = [
-            "function", "dim", "algorithm", "trials", "mean_evals",
-            "std_evals", "success_rate", "master_seed", "tool_version",
-        ]
-        rows = [
-            [
-                spec.name, str(spec.objective.dim), algorithm, str(summary.trial_count),
-                "" if summary.mean_evals is None else _fmt(summary.mean_evals),
-                "" if summary.std_evals is None else _fmt(summary.std_evals),
-                _fmt(summary.success_rate), str(args.seed), __version__,
-            ]
-            for spec, algorithm, summary in records
-        ]
-        body = _comment_header(cfg) + _csv_rows(header, rows)
-        _write_output(cfg, body, sidecar=False)
-    else:
-        lines = [
-            _json_record(
-                [
-                    ("function", spec.name),
-                    ("dim", spec.objective.dim),
-                    ("algorithm", algorithm),
-                    ("trials", summary.trial_count),
-                    ("mean_evals", summary.mean_evals),
-                    ("std_evals", summary.std_evals),
-                    ("success_rate", summary.success_rate),
-                    ("master_seed", args.seed),
-                    ("tool_version", __version__),
-                ]
-            )
-            for spec, algorithm, summary in records
-        ]
-        _write_output(cfg, "\n".join(lines) + "\n", sidecar=True)
+            records.append({
+                "function": spec.name, "dim": spec.objective.dim, "algorithm": algorithm,
+                "trials": summary.trial_count, "mean_evals": summary.mean_evals,
+                "std_evals": summary.std_evals, "success_rate": summary.success_rate,
+                "master_seed": args.seed, "tool_version": __version__,
+            })
+    _emit(cfg, records)
     return 0
 
 
@@ -351,12 +272,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         output_format="jsonl",
         iters=args.iters,
     )
-    if args.algorithm not in ALGORITHMS:
-        raise UnknownAlgorithmError(args.algorithm)
+    lookup_algorithm(args.algorithm)
     if args.iters < 1:
         raise ValueError("--iters must be >= 1")
     spec = benchmark_spec(args.function, args.dim)
-    params = _build_params(args.algorithm, cfg)
+    params = _build_params(cfg)[args.algorithm]
     records: list[TrajectoryRecord] = []
     run_trial(
         args.algorithm,

@@ -11,20 +11,22 @@ from __future__ import annotations
 
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .baselines import GaParams, PsoParams, run_ga, run_pso
 from .bat import BatParams, run_bat
 from .benchmarks import BenchmarkSpec
 from .core import EvalBudget, TrajectoryRecord, derive_seed
-from .results import ExperimentSummary, TrialResult
+from .results import ExperimentSummary, Recorder, TrialResult
 
 __all__ = [
     "ALGORITHMS",
+    "Algorithm",
     "UnknownAlgorithmError",
     "TrialResult",
     "ExperimentSummary",
     "TrajectoryRecord",
+    "lookup_algorithm",
     "default_params",
     "run_trial",
     "experiment_trials",
@@ -32,24 +34,51 @@ __all__ = [
     "summarize",
 ]
 
-ALGORITHMS = ("bat", "pso", "ga")
-
 AlgorithmParams = BatParams | PsoParams | GaParams
-Recorder = Callable[[TrajectoryRecord], None]
+
+
+class Algorithm(NamedTuple):
+    """An optimizer: its params class, whose field defaults are the
+    algorithm's defaults; its runner; and the params field each CLI flag sets."""
+
+    params: type
+    run: Callable[..., TrialResult]
+    flags: dict[str, str]
+
+
+ALGORITHMS = {
+    "bat": Algorithm(
+        BatParams,
+        run_bat,
+        {"alpha": "alpha", "gamma": "gamma", "fmin": "f_min", "fmax": "f_max", "iters": "max_iterations"},
+    ),
+    "pso": Algorithm(
+        PsoParams,
+        run_pso,
+        {"c1": "c1", "c2": "c2", "inertia": "inertia", "iters": "max_iterations"},
+    ),
+    "ga": Algorithm(
+        GaParams,
+        run_ga,
+        {"pm": "p_mutation", "pc": "p_crossover", "iters": "max_generations"},
+    ),
+}
 
 
 class UnknownAlgorithmError(KeyError):
     """Algorithm identifier outside {bat, pso, ga}."""
 
 
-def default_params(algorithm: str) -> AlgorithmParams:
-    if algorithm == "bat":
-        return BatParams()
-    if algorithm == "pso":
-        return PsoParams()
-    if algorithm == "ga":
-        return GaParams()
-    raise UnknownAlgorithmError(algorithm)
+def lookup_algorithm(name: str) -> Algorithm:
+    """The ALGORITHMS entry of `name`; UnknownAlgorithmError if there is none."""
+    try:
+        return ALGORITHMS[name]
+    except KeyError:
+        raise UnknownAlgorithmError(name) from None
+
+
+def default_params(name: str) -> AlgorithmParams:
+    return lookup_algorithm(name).params()
 
 
 def run_trial(
@@ -62,22 +91,16 @@ def run_trial(
     recorder: Optional[Recorder] = None,
 ) -> TrialResult:
     """One seeded run of one algorithm against one benchmark."""
-    if algorithm not in ALGORITHMS:
-        raise UnknownAlgorithmError(algorithm)
+    entry = lookup_algorithm(algorithm)
     if tolerance is not None and spec.objective.known_min is None:
         raise ValueError(
             f"{spec.name} has no known minimum; tolerance-based success is undefined"
         )
     if params is None:
-        params = default_params(algorithm)
-    budget = EvalBudget(max_evals)
-    obj = spec.objective
-    if algorithm == "bat":
-        _, result = run_bat(params, obj, seed, budget, stop_at=tolerance, recorder=recorder)
-        return result
-    if algorithm == "pso":
-        return run_pso(params, obj, seed, budget, stop_at=tolerance, recorder=recorder)
-    return run_ga(params, obj, seed, budget, stop_at=tolerance, recorder=recorder)
+        params = entry.params()
+    return entry.run(
+        params, spec.objective, seed, EvalBudget(max_evals), stop_at=tolerance, recorder=recorder
+    )
 
 
 def experiment_trials(
@@ -97,9 +120,10 @@ def experiment_trials(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     for algorithm in algorithms:
-        if algorithm not in ALGORITHMS:
-            raise UnknownAlgorithmError(algorithm)
+        lookup_algorithm(algorithm)
     params_by_algorithm = params_by_algorithm or {}
 
     jobs = [

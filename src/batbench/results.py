@@ -1,11 +1,24 @@
-"""Per-trial and per-experiment result records shared by all algorithms."""
+"""Per-trial and per-experiment result records, and the trial loop that
+all algorithms share."""
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
-__all__ = ["TrialResult", "ExperimentSummary"]
+import numpy as np
+
+from .core import EvalBudget, Objective, RandomStream, TrajectoryRecord, Vector
+
+__all__ = ["TrialResult", "ExperimentSummary", "Recorder", "Sweeps", "drive_trial"]
+
+Recorder = Callable[[TrajectoryRecord], None]
+
+# (best value, best position, positions) after initialisation and after each
+# sweep; positions is None when the budget ran out inside the sweep.
+Sweeps = Iterator[tuple[float, Vector, Optional[np.ndarray]]]
 
 
 @dataclass(frozen=True)
@@ -43,3 +56,54 @@ class ExperimentSummary:
     std_evals: Optional[float]
     success_rate: float
     trial_count: int
+
+
+def drive_trial(
+    algorithm: str,
+    sweeps: Callable[[RandomStream], Sweeps],
+    n: int,
+    max_iterations: int,
+    obj: Objective,
+    seed: int,
+    budget: EvalBudget,
+    stop_at: Optional[float] = None,
+    recorder: Optional[Recorder] = None,
+) -> TrialResult:
+    """One trial: initialise n agents, then sweep until a stop.
+
+    ``sweeps(rng)`` starts the algorithm on the trial's stream.  A budget
+    below n skips the trial (no evaluation, no best position).  Otherwise
+    the loop stops once the best is within ``stop_at`` of the known
+    minimum, after ``max_iterations`` complete sweeps, when the budget is
+    spent, or after a sweep the budget cut short; such a sweep's
+    evaluations still count towards the best but not as an iteration.
+    The recorder receives one TrajectoryRecord per complete sweep.
+    """
+    start = time.perf_counter()
+
+    def tolerance_met(value: float) -> bool:
+        return stop_at is not None and obj.known_min is not None and value - obj.known_min <= stop_at
+
+    best_value, best_position, iterations = math.inf, None, 0
+    if budget.remaining >= n:
+        trial = sweeps(RandomStream(seed))
+        best_value, best_position, _ = next(trial)
+        while not tolerance_met(best_value) and iterations < max_iterations and budget.remaining:
+            best_value, best_position, positions = next(trial)
+            if positions is None:
+                break
+            iterations += 1
+            if recorder is not None:
+                recorder(TrajectoryRecord(iterations, positions, best_value))
+    return TrialResult(
+        algorithm=algorithm,
+        function=obj.name,
+        dim=obj.dim,
+        seed=seed,
+        evaluations_used=budget.used,
+        success=tolerance_met(best_value),
+        best_value=best_value,
+        iterations=iterations,
+        best_position=None if best_position is None else tuple(float(v) for v in best_position),
+        wall_time=time.perf_counter() - start,
+    )

@@ -333,8 +333,7 @@ def test_criterion_7_evaluation_accounting():
             counter = CallCounter(spec.objective.fn)
             obj = Objective("sphere", 2, spec.objective.bounds, counter, 0.0, np.zeros(2))
             budget = EvalBudget(max_evals)
-            out = runner(mk(max_evals // 20 - 1), obj, 17, budget, stop_at=stop_at)
-            result = out[1] if algo == "bat" else out
+            result = runner(mk(max_evals // 20 - 1), obj, 17, budget, stop_at=stop_at)
             expected = 20 + 20 * result.iterations
             if not (result.evaluations_used == expected == counter.calls):
                 failures.append(

@@ -16,7 +16,7 @@ from batbench.bat import (
     run_bat,
 )
 from batbench.benchmarks import benchmark_spec
-from batbench.core import Bounds, EvalBudget, Objective, RandomStream
+from batbench.core import BudgetExceededError, Bounds, EvalBudget, Objective, RandomStream
 from oracles import CallCounter
 
 WIDE = Bounds.cube(-1e6, 1e6, 1)
@@ -301,7 +301,7 @@ def test_run_accounting_and_bounds_sweep():
     obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0, np.zeros(2))
     budget = EvalBudget(10 * 31)
     records = []
-    state, result = run_bat(params, obj, 21, budget, recorder=records.append)
+    result = run_bat(params, obj, 21, budget, recorder=records.append)
     assert result.evaluations_used == counter.calls
     assert result.evaluations_used == 10 + 10 * result.iterations
     assert result.iterations == 30
@@ -313,10 +313,19 @@ def test_run_accounting_and_bounds_sweep():
     assert best_values == sorted(best_values, reverse=True)
 
 
+def _final_swarm(params, seed, budget):
+    """The swarm run_bat ends with when no tolerance is set: sweeps until
+    the iteration cap, a spent budget or a sweep the budget cut short."""
+    state = init_bats(params, SPHERE2, RandomStream(seed), budget)
+    while state.iteration < params.max_iterations and budget.remaining and not state.budget_terminated:
+        bat_step(state, params, SPHERE2)
+    return state
+
+
 def test_run_bat_monotone_best_and_loudness_histories():
     params = BatParams(n=12, max_iterations=60)
     budget = EvalBudget(12 * 61)
-    state, result = run_bat(params, SPHERE2, 33, budget)
+    state = _final_swarm(params, 33, budget)
     for bat in state.bats:
         k = len(bat.acceptance_log)
         assert bat.loudness == bat.initial_loudness * 0.9**k
@@ -330,20 +339,20 @@ def test_zero_frequency_zero_velocity_improves_only_via_local_walk():
     # identity, so any improvement is the local walk's doing.
     params = BatParams(n=10, f_min=0.0, f_max=0.0, max_iterations=50)
     budget = EvalBudget(10 * 51)
-    state, result = run_bat(params, SPHERE2, 5, budget)
+    state = _final_swarm(params, 5, budget)
     for bat in state.bats:
         assert np.array_equal(bat.velocity, np.zeros(2))
     records = []
     budget2 = EvalBudget(10 * 51)
-    state2, _ = run_bat(params, SPHERE2, 5, budget2, recorder=records.append)
+    run_bat(params, SPHERE2, 5, budget2, recorder=records.append)
     assert records[-1].best_value < records[0].best_value
 
 
 def test_run_bat_deterministic_trials_and_trajectories():
     params = BatParams(n=9, max_iterations=25)
     rec1, rec2 = [], []
-    _, r1 = run_bat(params, SPHERE2, 77, EvalBudget(9 * 26), recorder=rec1.append)
-    _, r2 = run_bat(params, SPHERE2, 77, EvalBudget(9 * 26), recorder=rec2.append)
+    r1 = run_bat(params, SPHERE2, 77, EvalBudget(9 * 26), recorder=rec1.append)
+    r2 = run_bat(params, SPHERE2, 77, EvalBudget(9 * 26), recorder=rec2.append)
     assert r1 == r2  # wall_time excluded from comparison
     assert len(rec1) == len(rec2)
     for a, b in zip(rec1, rec2):
@@ -355,7 +364,7 @@ def test_run_bat_deterministic_trials_and_trajectories():
 def test_run_bat_stops_at_tolerance_with_iteration_granularity():
     params = BatParams(n=10, max_iterations=1_000)
     budget = EvalBudget(20_000)
-    state, result = run_bat(params, SPHERE2, 3, budget, stop_at=1.0)
+    result = run_bat(params, SPHERE2, 3, budget, stop_at=1.0)
     assert result.success
     assert result.best_value <= 1.0
     assert result.evaluations_used == 10 + 10 * result.iterations
@@ -364,9 +373,10 @@ def test_run_bat_stops_at_tolerance_with_iteration_granularity():
 
 def test_run_bat_budget_below_init_cost():
     params = BatParams(n=40)
+    with pytest.raises(BudgetExceededError):
+        init_bats(params, SPHERE2, RandomStream(1), EvalBudget(10))
     budget = EvalBudget(10)
-    state, result = run_bat(params, SPHERE2, 1, budget, stop_at=1e-5)
-    assert state.budget_terminated
+    result = run_bat(params, SPHERE2, 1, budget, stop_at=1e-5)
     assert not result.success
     assert result.evaluations_used == 0
     assert result.iterations == 0
@@ -375,7 +385,22 @@ def test_run_bat_budget_below_init_cost():
 def test_run_bat_partial_iteration_on_odd_budget():
     params = BatParams(n=40, max_iterations=1_000)
     budget = EvalBudget(40 + 2 * 40 + 15)
-    state, result = run_bat(params, SPHERE2, 13, budget)
+    result = run_bat(params, SPHERE2, 13, budget)
+    state = _final_swarm(params, 13, EvalBudget(budget.max_evaluations))
     assert state.budget_terminated
+    assert state.iteration == 2
     assert result.iterations == 2
     assert result.evaluations_used == budget.max_evaluations
+
+
+@pytest.mark.parametrize("function", ["dejong_sphere", "rastrigin", "ackley"])
+def test_bat_step_best_is_lowest_bat(function):
+    # A bat's value changes only on acceptance, and acceptance sets the
+    # swarm best to that value, so the best never needs a re-rank.
+    obj = benchmark_spec(function, 2).objective
+    params = BatParams(n=10)
+    for seed in range(5):
+        state = init_bats(params, obj, RandomStream(seed), EvalBudget(10 * 101))
+        for _ in range(100):
+            bat_step(state, params, obj)
+            assert state.best_value == min(b.value for b in state.bats)

@@ -12,6 +12,11 @@ def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _reject(constant):
+    """parse_constant hook: refuse the Infinity/NaN extensions json.loads accepts."""
+    raise ValueError(f"not JSON: {constant}")
+
+
 def test_list_functions(capsys):
     assert run_cli(["list-functions"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -151,6 +156,10 @@ def test_invalid_flag_values_exit_2(tmp_path):
                     "--dim", "3", "--output", str(out)]) == 2
     # argparse-level garbage
     assert run_cli(["run", "--no-such-flag"]) == 2
+    # no worker to run the trials
+    for workers in ("0", "-3"):
+        assert run_cli(["run", "--algorithm", "bat", "--function", "dejong", "--trials", "2",
+                        "--max-evals", "100", "--workers", workers, "--output", str(out)]) == 2
     assert not out.exists()
 
 
@@ -159,3 +168,15 @@ def test_stdout_when_no_output(capsys):
                     "--algorithms", "bat", "--trials", "2", "--max-evals", "200"]) == 0
     out = capsys.readouterr().out
     assert "function,dim,algorithm" in out
+
+
+def test_jsonl_writes_non_finite_as_null(capsys):
+    # A budget below the population leaves best_value at inf.
+    args = ["run", "--algorithm", "ga", "--function", "dejong", "--dim", "2",
+            "--trials", "1", "--max-evals", "10"]
+    assert run_cli(args + ["--format", "jsonl"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert json.loads(line, parse_constant=_reject)["best_value"] is None
+    assert run_cli(args) == 0
+    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert rows[1].split(",")[7] == "inf"

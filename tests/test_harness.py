@@ -87,6 +87,15 @@ def test_run_trial_budget_below_init():
     assert r.evaluations_used <= 10
 
 
+@pytest.mark.parametrize("algorithm", ["bat", "pso", "ga"])
+def test_run_trial_budget_below_population_evaluates_nothing(algorithm):
+    r = run_trial(algorithm, benchmark_spec("dejong_sphere", 2), None, 10, seed=3)
+    assert r.best_value == math.inf
+    assert r.best_position is None
+    assert r.evaluations_used == 0
+    assert r.iterations == 0
+
+
 def test_run_trial_deterministic():
     a = run_trial("bat", SPEC2, 1e-5, 2_000, seed=123)
     b = run_trial("bat", SPEC2, 1e-5, 2_000, seed=123)
