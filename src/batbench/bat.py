@@ -7,12 +7,16 @@ the swarm best scaled by the average loudness.  Improving candidates are
 accepted with probability bounded by the bat's loudness; acceptance decays
 the loudness geometrically and raises the pulse rate toward its initial
 ceiling.
+
+The swarm is stored as a struct of arrays, and a sweep computes every
+bat's move at once; only the evaluations and acceptance tests run bat by
+bat, because an acceptance moves the best that later moves aim at.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -26,13 +30,13 @@ from .core import (
     Vector,
     clamp_to_bounds,
     counted_evaluate,
-    uniform_sample,
 )
 from .results import Recorder, Sweeps, TrialResult, drive_trial
 
 __all__ = [
     "BatParams",
     "Bat",
+    "Swarm",
     "BatState",
     "init_bats",
     "frequency_and_global_move",
@@ -85,82 +89,203 @@ class BatParams:
 
 
 @dataclass
+class Swarm:
+    """The bats as a struct of arrays: row i of every array is bat i.
+
+    ``acceptance_logs[i]`` lists the iterations at which bat i accepted.
+    """
+
+    positions: np.ndarray  # (n, d)
+    velocities: np.ndarray  # (n, d)
+    frequencies: np.ndarray  # (n,), and so on below
+    loudness: np.ndarray
+    initial_loudness: np.ndarray
+    pulse_rates: np.ndarray
+    initial_pulse_rates: np.ndarray
+    values: np.ndarray  # objective at each position, cached for ranking
+    acceptance_logs: list[list[int]]
+
+    @classmethod
+    def stack(cls, bats: list[Bat]) -> Swarm:
+        rows = {f.name: [getattr(b.swarm, f.name)[b.index] for b in bats] for f in fields(cls)}
+        logs = rows.pop("acceptance_logs")
+        return cls(**{k: np.array(v) for k, v in rows.items()}, acceptance_logs=[list(g) for g in logs])
+
+    @property
+    def bats(self) -> list[Bat]:
+        return [Bat.row(self, i) for i in range(len(self.values))]
+
+
+class _Row:
+    """A Bat attribute read from and written to the bat's row of one Swarm array."""
+
+    def __init__(self, array: str):
+        self.array = array
+
+    def __get__(self, bat, owner=None):
+        if bat is None:
+            return self
+        item = getattr(bat.swarm, self.array)[bat.index]
+        return float(item) if isinstance(item, np.floating) else item
+
+    def __set__(self, bat, value):
+        getattr(bat.swarm, self.array)[bat.index] = value
+
+
 class Bat:
-    position: Vector
-    velocity: Vector
-    frequency: float
-    loudness: float
-    initial_loudness: float
-    pulse_rate: float
-    initial_pulse_rate: float
-    value: float = math.inf  # objective at position, cached for ranking
-    acceptance_log: list[int] = field(default_factory=list)
+    """One bat: row ``index`` of ``swarm``.
+
+    A bat built from values is the one row of a swarm of its own.  A
+    BatState built from bats takes their rows over, so an update through a
+    bat and through the state is one update.  ``position`` and ``velocity``
+    are views of the row.
+    """
+
+    position = _Row("positions")
+    velocity = _Row("velocities")
+    frequency = _Row("frequencies")
+    loudness = _Row("loudness")
+    initial_loudness = _Row("initial_loudness")
+    pulse_rate = _Row("pulse_rates")
+    initial_pulse_rate = _Row("initial_pulse_rates")
+    value = _Row("values")
+    acceptance_log = _Row("acceptance_logs")
+
+    def __init__(
+        self,
+        position: Vector,
+        velocity: Vector,
+        frequency: float,
+        loudness: float,
+        initial_loudness: float,
+        pulse_rate: float,
+        initial_pulse_rate: float,
+        value: float = math.inf,
+        acceptance_log: Optional[list[int]] = None,
+    ):
+        self.swarm = Swarm(
+            np.array([position], dtype=float),
+            np.array([velocity], dtype=float),
+            *(np.array([v], dtype=float) for v in (
+                frequency, loudness, initial_loudness, pulse_rate, initial_pulse_rate, value
+            )),
+            [list(acceptance_log or ())],
+        )
+        self.index = 0
+
+    @classmethod
+    def row(cls, swarm: Swarm, index: int) -> Bat:
+        bat = cls.__new__(cls)
+        bat.swarm, bat.index = swarm, index
+        return bat
 
 
-@dataclass
 class BatState:
-    """Full swarm state, confined to a single trial."""
+    """Full swarm state, confined to a single trial.
 
-    bats: list[Bat]
-    best_position: Vector
-    best_value: float
-    iteration: int
-    rng: RandomStream
-    budget: EvalBudget
-    budget_terminated: bool = False
+    The bats passed in are stacked into one ``swarm`` and become views of
+    its rows; ``bats`` gives a view of every row.
+    """
+
+    def __init__(
+        self,
+        bats: list[Bat],
+        best_position: Vector,
+        best_value: float,
+        iteration: int,
+        rng: RandomStream,
+        budget: EvalBudget,
+        budget_terminated: bool = False,
+    ):
+        self.swarm = Swarm.stack(bats)
+        for i, bat in enumerate(bats):
+            bat.swarm, bat.index = self.swarm, i
+        self.best_position = best_position
+        self.best_value = best_value
+        self.iteration = iteration
+        self.rng = rng
+        self.budget = budget
+        self.budget_terminated = budget_terminated
+
+    @property
+    def bats(self) -> list[Bat]:
+        return self.swarm.bats
 
 
 def init_bats(
     params: BatParams, obj: Objective, rng: RandomStream, budget: EvalBudget
 ) -> BatState:
-    """Draw and evaluate the initial population (n evaluations)."""
+    """Draw and evaluate the initial population (n evaluations).
+
+    Bat by bat: d position draws, then one draw each for frequency,
+    loudness and pulse rate.
+    """
     if budget.remaining < params.n:
         raise BudgetExceededError(
             f"budget remaining {budget.remaining} cannot initialize {params.n} bats"
         )
-    f_span = params.f_max - params.f_min
+    n, d, bounds = params.n, obj.dim, obj.bounds
     a_lo, a_hi = params.loudness_range
     r_lo, r_hi = params.pulse_range
-    bats = []
-    for _ in range(params.n):
-        position = uniform_sample(obj.bounds, rng)
-        frequency = params.f_min + f_span * rng.uniform()
-        loudness = a_lo + (a_hi - a_lo) * rng.uniform()
-        pulse = r_lo + (r_hi - r_lo) * rng.uniform()
-        bats.append(
-            Bat(
-                position=position,
-                velocity=np.zeros(obj.dim),
-                frequency=frequency,
-                loudness=loudness,
-                initial_loudness=loudness,
-                pulse_rate=pulse,
-                initial_pulse_rate=pulse,
-            )
-        )
-    for bat in bats:
-        bat.value = counted_evaluate(obj, bat.position, budget)
-    best = min(bats, key=lambda b: b.value)
-    return BatState(
-        bats=bats,
-        best_position=best.position,
-        best_value=best.value,
-        iteration=0,
-        rng=rng,
-        budget=budget,
+    draws = rng.uniform_vector(n * (d + 3)).reshape(n, d + 3)
+    positions = bounds.lower + draws[:, :d] * bounds.width
+    loudness = a_lo + (a_hi - a_lo) * draws[:, d + 1]
+    pulse_rates = r_lo + (r_hi - r_lo) * draws[:, d + 2]
+    values = [counted_evaluate(obj, x, budget) for x in positions]
+    swarm = Swarm(
+        positions,
+        np.zeros((n, d)),
+        params.f_min + (params.f_max - params.f_min) * draws[:, d],
+        loudness,
+        loudness.copy(),
+        pulse_rates,
+        pulse_rates.copy(),
+        np.array(values),
+        [[] for _ in range(n)],
     )
+    best = min(range(n), key=values.__getitem__)
+    return BatState(swarm.bats, positions[best].copy(), values[best], 0, rng, budget)
+
+
+# The printed rules, each written once over rows of bats; the sweep and the
+# per-bat functions below both apply them.
+
+
+def _global_move(
+    positions: np.ndarray, velocities: np.ndarray, best: Vector, beta, params: BatParams, bounds: Bounds
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f = f_min + (f_max - f_min) beta, v += (x - x*) f, x + v clamped.
+
+    ``velocity_toward_best`` uses (x* - x) instead.  Returns (velocities,
+    moved positions, frequencies).
+    """
+    frequencies = params.f_min + (params.f_max - params.f_min) * beta
+    delta = best - positions if params.velocity_toward_best else positions - best
+    velocities = velocities + delta * np.expand_dims(frequencies, -1)
+    return velocities, clamp_to_bounds(positions + velocities, bounds), frequencies
+
+
+def _local_walk(base: Vector, draws: np.ndarray, avg_loudness: float, bounds: Bounds) -> np.ndarray:
+    """x* + eps * mean loudness, clamped, with eps = 2u - 1 from uniform draws u."""
+    return clamp_to_bounds(base + (2.0 * draws - 1.0) * avg_loudness, bounds)
+
+
+def _accept(swarm: Swarm, i: int, candidate: Vector, value: float, iteration: int, params: BatParams) -> None:
+    """Bat i moves to its candidate; after its k-th acceptance its loudness
+    is A0 alpha^k and its pulse rate r0 (1 - exp(-gamma t)) at iteration t."""
+    swarm.positions[i] = candidate
+    swarm.values[i] = value
+    log = swarm.acceptance_logs[i]
+    log.append(iteration)
+    swarm.loudness[i] = swarm.initial_loudness[i] * params.alpha ** len(log)
+    swarm.pulse_rates[i] = swarm.initial_pulse_rates[i] * (1.0 - math.exp(-params.gamma * iteration))
 
 
 def frequency_and_global_move(
     bat: Bat, best: Vector, params: BatParams, bounds: Bounds, rng: RandomStream
 ) -> tuple[Vector, Vector, float]:
     """Frequency draw plus velocity/position update; one uniform draw."""
-    beta = rng.uniform()
-    frequency = params.f_min + (params.f_max - params.f_min) * beta
-    delta = best - bat.position if params.velocity_toward_best else bat.position - best
-    velocity = bat.velocity + delta * frequency
-    position = clamp_to_bounds(bat.position + velocity, bounds)
-    return velocity, position, frequency
+    return _global_move(bat.position, bat.velocity, best, rng.uniform(), params, bounds)
 
 
 def local_walk(
@@ -169,11 +294,13 @@ def local_walk(
     """Uniform [-1,1] per-coordinate step around `base`, scaled by avg loudness."""
     if avg_loudness < 0.0:
         raise ValueError("avg_loudness must be non-negative")
-    return clamp_to_bounds(base + rng.symmetric_vector(base.size) * avg_loudness, bounds)
+    return _local_walk(base, rng.uniform_vector(base.size), avg_loudness, bounds)
 
 
 def average_loudness(state: BatState) -> float:
-    return sum(b.loudness for b in state.bats) / len(state.bats)
+    """Mean loudness, summed left to right as the reference does."""
+    loudness = state.swarm.loudness.tolist()
+    return sum(loudness) / len(loudness)
 
 
 def accept_and_update(
@@ -193,42 +320,85 @@ def accept_and_update(
     """
     draw = rng.uniform()
     if draw < bat.loudness and candidate_value < state.best_value:
-        bat.position = candidate
-        bat.value = candidate_value
-        bat.acceptance_log.append(state.iteration)
-        bat.loudness = bat.initial_loudness * params.alpha ** len(bat.acceptance_log)
-        bat.pulse_rate = bat.initial_pulse_rate * (
-            1.0 - math.exp(-params.gamma * state.iteration)
-        )
+        _accept(bat.swarm, bat.index, candidate, candidate_value, state.iteration, params)
         state.best_position = candidate
         state.best_value = candidate_value
         return True
     return False
 
 
+def _draw_layout(block: Vector, pulse_rates: list[float], d: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Where each bat's draws start in a sweep's block, which bats walk, and
+    how many draws the sweep uses.
+
+    Bat by bat: a frequency draw, a walk-gate draw, d walk draws when the
+    gate exceeds the bat's pulse rate, then an acceptance draw.
+    """
+    starts, walks, at = [], [], 0
+    for pulse in pulse_rates:
+        walk = block[at + 1] > pulse
+        starts.append(at)
+        walks.append(walk)
+        at += 3 + d if walk else 3
+    return np.array(starts), np.array(walks), at
+
+
 def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
     """One iteration: each bat proposes and is tested on one candidate.
+
+    Every bat's move is computed at once against the current best; the
+    candidates are then evaluated in order, and an acceptance, which moves
+    the best, recomputes the moves of the bats after it.  The sweep draws
+    its worst case of n(3 + d) uniforms and gives back what it did not use,
+    so the stream ends where bat-by-bat draws would leave it.
 
     Consumes exactly n evaluations unless the budget runs out mid-sweep,
     in which case the state is flagged terminated and the iteration
     counter is left unchanged (the sweep did not complete).
     """
+    swarm, rng, bounds = state.swarm, state.rng, obj.bounds
+    n, d = swarm.positions.shape
     avg = average_loudness(state)
-    for bat in state.bats:
-        velocity, moved, frequency = frequency_and_global_move(
-            bat, state.best_position, params, obj.bounds, state.rng
+    block = rng.uniform_vector(n * (3 + d))
+    starts, walks, used = _draw_layout(block, swarm.pulse_rates.tolist(), d)
+    betas = block[starts]
+    walkers = np.flatnonzero(walks)
+    walk_draws = block[starts[walkers, None] + 2 + np.arange(d)]
+    accept_draws = block[starts + 2 + d * walks].tolist()
+    # A bat's loudness changes only at its own acceptance, after its test.
+    loudness = swarm.loudness.tolist()
+
+    def moves(first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Velocities, candidates and frequencies of bats first..n-1."""
+        velocities, candidates, frequencies = _global_move(
+            swarm.positions[first:], swarm.velocities[first:], state.best_position,
+            betas[first:], params, bounds,
         )
-        bat.velocity = velocity
-        bat.frequency = frequency
-        candidate = moved
-        if state.rng.uniform() > bat.pulse_rate:
-            candidate = local_walk(state.best_position, avg, obj.bounds, state.rng)
+        later = walkers >= first
+        candidates[walkers[later] - first] = _local_walk(
+            state.best_position, walk_draws[later], avg, bounds
+        )
+        return velocities, candidates, frequencies
+
+    velocities, candidates, frequencies = moves(0)
+    for i in range(n):
         try:
-            value = counted_evaluate(obj, candidate, state.budget)
+            value = counted_evaluate(obj, candidates[i], state.budget)
         except BudgetExceededError:
+            # Bat i drew its frequency, gate and walk before the budget ran out.
+            swarm.velocities[: i + 1] = velocities[: i + 1]
+            swarm.frequencies[: i + 1] = frequencies[: i + 1]
+            rng.rewind(block.size - (starts[i] + 2 + d * walks[i]))
             state.budget_terminated = True
             return state
-        accept_and_update(bat, candidate, value, state, params, state.rng)
+        if accept_draws[i] < loudness[i] and value < state.best_value:
+            _accept(swarm, i, candidates[i], value, state.iteration, params)
+            state.best_position = candidates[i].copy()
+            state.best_value = value
+            velocities[i + 1 :], candidates[i + 1 :], _ = moves(i + 1)
+    swarm.velocities[:] = velocities
+    swarm.frequencies[:] = frequencies
+    rng.rewind(block.size - used)
     state.iteration += 1
     return state
 
@@ -236,7 +406,7 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
 def _sweeps(params: BatParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:
     state = init_bats(params, obj, rng, budget)
     while True:
-        positions = None if state.budget_terminated else np.array([b.position for b in state.bats])
+        positions = None if state.budget_terminated else state.swarm.positions.copy()
         yield state.best_value, state.best_position, positions
         bat_step(state, params, obj)
 

@@ -103,14 +103,15 @@ def _overrides_from(args: argparse.Namespace) -> dict:
 def _build_params(cfg: RunConfig) -> dict:
     """Each algorithm's params: its class defaults with the population, the
     iteration cap and the override flags it maps; invariants validated here."""
-    # Without --iters, let the evaluation budget bind first.
-    iters = cfg.iters if cfg.iters is not None else max(1, cfg.max_evals // cfg.population + 1)
-    flags = {**cfg.overrides, "iters": iters}
     by_algorithm = {}
     for name in cfg.algorithms:
         params_cls, _, fields = ALGORITHMS[name]
+        params = params_cls(n=cfg.population)  # validated before the budget is divided by it
+        # Without --iters, let the evaluation budget bind first.
+        iters = cfg.iters if cfg.iters is not None else max(1, cfg.max_evals // params.n + 1)
+        flags = {**cfg.overrides, "iters": iters}
         mapped = {fields[flag]: value for flag, value in flags.items() if flag in fields}
-        by_algorithm[name] = dataclasses.replace(params_cls(), n=cfg.population, **mapped)
+        by_algorithm[name] = dataclasses.replace(params, **mapped)
     return by_algorithm
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -131,6 +132,16 @@ class RandomStream:
         """d draws from [0, 1)."""
         return self._gen.random(d)
 
+    def rewind(self, k: int) -> None:
+        """Take back the last k draws.
+
+        PCG64 steps a 128-bit LCG, so advancing it 2**128 - k steps lands
+        where it stood k draws earlier.  As a block of draws equals the same
+        number of scalar draws, a caller can draw a worst-case block and
+        give back what it did not use.
+        """
+        self._gen.bit_generator.advance(-int(k) % 2**128)
+
     def symmetric_vector(self, d: int) -> Vector:
         """d draws from [-1, 1]."""
         return 2.0 * self.uniform_vector(d) - 1.0
@@ -176,9 +187,10 @@ class TrajectoryRecord:
     best_value: float
 
 
-def clamp_to_bounds(x: Vector, b: Bounds) -> Vector:
-    """Coordinate-wise projection onto the box.  Idempotent."""
-    if x.shape != b.lower.shape:
+def clamp_to_bounds(x: np.ndarray, b: Bounds) -> np.ndarray:
+    """Coordinate-wise projection onto the box of a point or of rows of
+    points.  Idempotent."""
+    if x.shape[-1:] != b.lower.shape:
         raise ValueError(f"point dimension {x.shape} != bounds dimension {b.lower.shape}")
     return np.minimum(np.maximum(x, b.lower), b.upper)
 
@@ -191,6 +203,8 @@ def uniform_sample(b: Bounds, rng: RandomStream) -> Vector:
 def counted_evaluate(obj: Objective, x: Vector, budget: EvalBudget) -> float:
     """Evaluate obj at x, charging one unit of budget.
 
+    A NaN value ranks worst: it is returned as ``inf`` (and still charged),
+    so it can never become a best that no later value compares below.
     Raises BudgetExceededError (budget untouched) once the budget is spent.
     """
     if budget.used >= budget.max_evaluations:
@@ -199,4 +213,4 @@ def counted_evaluate(obj: Objective, x: Vector, budget: EvalBudget) -> float:
         )
     value = float(obj.fn(x))
     budget.used += 1
-    return value
+    return math.inf if math.isnan(value) else value

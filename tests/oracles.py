@@ -35,14 +35,18 @@ def refine_1d(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     return float(xs[k]), float(ys[k])
 
 
-def refine_2d(f: Callable[[float, float], float], x0: float, y0: float,
+def refine_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray], x0: float, y0: float,
               h: float, pts: int = 81, levels: int = 25) -> tuple[float, float, float]:
-    """Grid refinement around (x0, y0); returns (x, y, min)."""
-    best = (x0, y0, f(x0, y0))
+    """Grid refinement around (x0, y0); returns (x, y, min).
+
+    ``f`` takes broadcastable coordinate arrays, so each level's pts x pts
+    grid is one call.
+    """
+    best = (x0, y0, float(f(np.asarray(x0), np.asarray(y0))))
     for _ in range(levels):
         gx = np.linspace(best[0] - h, best[0] + h, pts)
         gy = np.linspace(best[1] - h, best[1] + h, pts)
-        vals = np.array([[f(x, y) for y in gy] for x in gx])
+        vals = f(gx[:, None], gy[None, :])
         i, j = np.unravel_index(np.argmin(vals), vals.shape)
         best = (float(gx[i]), float(gy[j]), float(vals[i, j]))
         h /= 5.0
@@ -65,15 +69,12 @@ def global_minima_2d(fvec: Callable[[np.ndarray, np.ndarray], np.ndarray],
     F = fvec(X, Y)
     labels, nlab = ndimage.label(F <= F.min() + basin_band)
 
-    def scalar(x, y):
-        return float(fvec(np.asarray(x), np.asarray(y)))
-
     minima = []
     for lab in range(1, nlab + 1):
         idx = np.argwhere(labels == lab)
         vals = F[labels == lab]
         i, j = idx[int(np.argmin(vals))]
-        minima.append(refine_2d(scalar, float(g[i]), float(g[j]), h=3.0 * (g[1] - g[0])))
+        minima.append(refine_2d(fvec, float(g[i]), float(g[j]), h=3.0 * (g[1] - g[0])))
     best = min(m[2] for m in minima)
     return [m for m in minima if m[2] <= best + value_band]
 

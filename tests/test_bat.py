@@ -17,7 +17,7 @@ from batbench.bat import (
 )
 from batbench.benchmarks import benchmark_spec
 from batbench.core import BudgetExceededError, Bounds, EvalBudget, Objective, RandomStream
-from oracles import CallCounter
+from oracles import CallCounter, reference_bat
 
 WIDE = Bounds.cube(-1e6, 1e6, 1)
 SPHERE2 = benchmark_spec("dejong_sphere", 2).objective
@@ -38,23 +38,17 @@ class StubStream:
         assert v.size == d
         return v
 
-    def symmetric_vector(self, d):
-        return 2.0 * self.uniform_vector(d) - 1.0
+
+def _pcg_state(rng):
+    return rng._gen.bit_generator.state
 
 
-class CountingStream(RandomStream):
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.uniform_calls = 0
-        self.vector_draws = 0
-
-    def uniform(self):
-        self.uniform_calls += 1
-        return super().uniform()
-
-    def uniform_vector(self, d):
-        self.vector_draws += d
-        return super().uniform_vector(d)
+def _advanced(seed, draws):
+    """A fresh stream `draws` scalar draws ahead."""
+    rng = RandomStream(seed)
+    for _ in range(draws):
+        rng.uniform()
+    return rng
 
 
 def _bat(position, velocity=None, loudness=1.0, pulse=0.5, dim=None):
@@ -273,26 +267,22 @@ def test_bat_step_pulse_one_never_walks_locally():
     # rand in [0,1) is never > 1, so candidates always come from the global
     # move: draws per bat are exactly beta + branch + acceptance.
     params = BatParams(n=6, pulse_range=(1.0, 1.0))
-    rng = CountingStream(8)
     budget = EvalBudget(1_000)
-    state = init_bats(params, SPHERE2, rng, budget)
-    rng.uniform_calls = 0
-    rng.vector_draws = 0
+    state = init_bats(params, SPHERE2, RandomStream(8), budget)
     bat_step(state, params, SPHERE2)
-    assert rng.uniform_calls == 3 * params.n
-    assert rng.vector_draws == 0
+    init_draws = params.n * (SPHERE2.dim + 3)
+    assert _pcg_state(state.rng) == _pcg_state(_advanced(8, init_draws + 3 * params.n))
 
 
 def test_bat_step_pulse_zero_walks_locally():
     params = BatParams(n=6, pulse_range=(0.0, 0.0))
-    rng = CountingStream(8)
     budget = EvalBudget(1_000)
-    state = init_bats(params, SPHERE2, rng, budget)
-    rng.uniform_calls = 0
-    rng.vector_draws = 0
+    state = init_bats(params, SPHERE2, RandomStream(8), budget)
     bat_step(state, params, SPHERE2)
-    assert rng.uniform_calls == 3 * params.n
-    assert rng.vector_draws == 2 * params.n  # one epsilon vector per bat
+    init_draws = params.n * (SPHERE2.dim + 3)
+    # beta + branch + acceptance, plus one epsilon vector of d draws per bat
+    walk_draws = SPHERE2.dim * params.n
+    assert _pcg_state(state.rng) == _pcg_state(_advanced(8, init_draws + 3 * params.n + walk_draws))
 
 
 def test_run_accounting_and_bounds_sweep():
@@ -404,3 +394,23 @@ def test_bat_step_best_is_lowest_bat(function):
         for _ in range(100):
             bat_step(state, params, obj)
             assert state.best_value == min(b.value for b in state.bats)
+
+
+@pytest.mark.parametrize(
+    "function, dim",
+    [("dejong_sphere", 1), ("rastrigin", 1), ("eggcrate", 2), ("ackley", 16), ("griewank", 16)],
+)
+def test_run_bat_equals_reference_on_small_swarms_and_cut_sweeps(function, dim):
+    # Budgets n + k*n + r with 0 < r < n stop inside a sweep; n = 1 has no
+    # such r and runs whole sweeps only.  n = 40 sums the mean loudness over
+    # more than 8 bats, where numpy's pairwise sum would differ.
+    obj = benchmark_spec(function, dim).objective
+    cases = [(1, 0), (1, 1), (1, 25)]
+    cases += [(n, k * n + r) for n in (2, 3, 7, 40) for k in (0, 1, 12) for r in sorted({1, n - 1})]
+    for seed, (n, extra) in enumerate(cases):
+        result = run_bat(BatParams(n=n), obj, seed, EvalBudget(n + extra))
+        ref = reference_bat(obj, seed, n + extra, n=n)
+        assert result.best_value == ref.best_value
+        assert result.best_position == ref.best_position
+        assert result.evaluations_used == ref.evaluations_used
+        assert result.iterations == ref.iterations

@@ -145,7 +145,8 @@ def test_shubert_eighteen_global_minima():
 
 
 def test_multiple_peaks_oracle():
-    x, y, fmin = refine_2d(lambda a, b: multiple_peaks(np.array([a, b])), 3.0, 3.0, h=1.0)
+    peaks = np.vectorize(lambda a, b: multiple_peaks(np.array([a, b])))
+    x, y, fmin = refine_2d(peaks, 3.0, 3.0, h=1.0)
     assert fmin == pytest.approx(-2.0, abs=1e-9)
     assert (x, y) == pytest.approx((3.0, 3.0), abs=1e-6)
     # deepest well wins over the other three

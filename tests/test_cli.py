@@ -156,6 +156,9 @@ def test_invalid_flag_values_exit_2(tmp_path):
                     "--dim", "3", "--output", str(out)]) == 2
     # argparse-level garbage
     assert run_cli(["run", "--no-such-flag"]) == 2
+    # no bat to divide the budget among
+    assert run_cli(["run", "--algorithm", "bat", "--function", "dejong", "--pop", "0",
+                    "--trials", "1", "--output", str(out)]) == 2
     # no worker to run the trials
     for workers in ("0", "-3"):
         assert run_cli(["run", "--algorithm", "bat", "--function", "dejong", "--trials", "2",

@@ -105,6 +105,19 @@ def test_random_stream_identical_seeds_identical_draws():
     assert a.uniform() == b.uniform()
 
 
+@pytest.mark.parametrize("used", [0, 1, 37, 100])
+def test_random_stream_rewind_gives_back_unused_draws(used):
+    scalar = RandomStream(31)
+    expected = [scalar.uniform() for _ in range(200)]
+    rng = RandomStream(31)
+    assert rng.uniform_vector(100).tolist() == expected[:100]
+    rng.rewind(100 - used)
+    ahead = RandomStream(31)
+    ahead.uniform_vector(used)
+    assert rng._gen.bit_generator.state == ahead._gen.bit_generator.state
+    assert rng.uniform_vector(100).tolist() == expected[used : used + 100]
+
+
 def test_random_stream_ranges():
     rng = RandomStream(5)
     u = rng.uniform_vector(10_000)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -94,6 +95,21 @@ def test_run_trial_budget_below_population_evaluates_nothing(algorithm):
     assert r.best_position is None
     assert r.evaluations_used == 0
     assert r.iterations == 0
+
+
+@pytest.mark.parametrize("algorithm", ["bat", "pso", "ga"])
+def test_nan_values_rank_worst(algorithm):
+    # NaN on half the box: a NaN best would stop every later comparison.
+    def half_nan(x):
+        return math.nan if x[0] > 0 else float(np.sum(x * x))
+
+    sphere = benchmark_spec("dejong_sphere", 4)
+    objective = dataclasses.replace(sphere.objective, fn=half_nan)
+    spec = dataclasses.replace(sphere, objective=objective)
+    r = run_trial(algorithm, spec, None, 2_000, seed=1)
+    assert math.isfinite(r.best_value)
+    assert r.best_value == half_nan(np.array(r.best_position))
+    assert r.evaluations_used == 2_000
 
 
 def test_run_trial_deterministic():
