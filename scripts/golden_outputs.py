@@ -52,6 +52,13 @@ def _cases() -> dict[str, list[str]]:
             "run", "--algorithm", algo, "--function", "eggcrate", "--trials", "2",
             "--max-evals", "333", "--pop", "11", "--seed", "8",
         ]
+        # d=16 with an odd population (the GA's extra child) and a budget
+        # that ends inside a sweep: 1,000 = 7 + 141 * 7 + 6.
+        for function in ("rastrigin", "ackley"):
+            cases[f"run-{algo}-{function}16-odd-pop-cut"] = [
+                "run", "--algorithm", algo, "--function", function, "--dim", "16",
+                "--pop", "7", "--trials", "2", "--max-evals", "1000", "--seed", "4",
+            ]
         for where, extra in (("stdout", []), ("file", ["--output", "trace.jsonl"])):
             cases[f"trace-{algo}-{where}"] = [
                 "trace", "--algorithm", algo, "--function", "rosenbrock_paper", "--dim", "2",

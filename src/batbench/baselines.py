@@ -8,19 +8,16 @@ same trajectory-sink contract as the bat optimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import (
     Bounds,
-    BudgetExceededError,
     EvalBudget,
     Objective,
     RandomStream,
-    Vector,
-    counted_evaluate,
-    uniform_sample,
+    counted_evaluate_rows,
 )
 from .results import Recorder, Sweeps, TrialResult, drive_trial
 
@@ -29,8 +26,8 @@ __all__ = [
     "GaParams",
     "run_pso",
     "run_ga",
-    "crossover_pair",
-    "mutate_genes",
+    "GenerationDraws",
+    "draw_generation",
 ]
 
 # Without a velocity cap the inertia-1 update diverges; cap each velocity
@@ -80,12 +77,18 @@ class GaParams:
             raise ValueError("max_generations must be >= 1")
 
 
+def _initial_population(bounds: Bounds, n: int, rng: RandomStream) -> np.ndarray:
+    """n points uniform over the box, from one block of n*d draws (the same
+    draws as n points of d)."""
+    return bounds.lower + rng.uniform_vector(n * bounds.dim).reshape(n, bounds.dim) * bounds.width
+
+
 def _pso_sweeps(params: PsoParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:
     n, d = params.n, obj.dim
     bounds = obj.bounds
-    x = np.stack([uniform_sample(bounds, rng) for _ in range(n)])
+    x = _initial_population(bounds, n, rng)
     v = np.zeros((n, d))
-    values = np.array([counted_evaluate(obj, xi, budget) for xi in x])
+    values = counted_evaluate_rows(obj, x, budget)
     pbest = x.copy()
     pbest_val = values.copy()
     g = int(np.argmin(values))
@@ -99,18 +102,22 @@ def _pso_sweeps(params: PsoParams, obj: Objective, budget: EvalBudget, rng: Rand
         v = params.inertia * v + params.c1 * u1 * (pbest - x) + params.c2 * u2 * (gbest - x)
         np.clip(v, -vmax, vmax, out=v)
         x = np.clip(x + v, bounds.lower, bounds.upper)
-        for i in range(n):
-            try:
-                fi = counted_evaluate(obj, x[i], budget)
-            except BudgetExceededError:
-                yield gbest_val, gbest, None
-                return
-            if fi < pbest_val[i]:
-                pbest_val[i] = fi
-                pbest[i] = x[i]
-            if fi < gbest_val:
-                gbest_val = fi
-                gbest = x[i].copy()
+        # A sweep the budget cuts short keeps the values it got.  Strict
+        # improvement and argmin's first minimum give the particle-by-particle
+        # updates' result.
+        values = counted_evaluate_rows(obj, x, budget)
+        k = values.size
+        improved = np.flatnonzero(values < pbest_val[:k])
+        pbest[improved] = x[improved]
+        pbest_val[improved] = values[improved]
+        if k:
+            g = int(np.argmin(values))
+            if values[g] < gbest_val:
+                gbest_val = float(values[g])
+                gbest = x[g].copy()
+        if k < n:
+            yield gbest_val, gbest, None
+            return
 
 
 def run_pso(
@@ -128,89 +135,96 @@ def run_pso(
     )
 
 
-def _roulette(rng: RandomStream, cumulative: np.ndarray) -> int:
-    u = rng.uniform() * cumulative[-1]
-    return int(np.searchsorted(cumulative, u, side="right"))
+class GenerationDraws(NamedTuple):
+    """The draws of one GA generation, taken before any of its arithmetic."""
+
+    picks: np.ndarray  # (n,) roulette draws: a and b of each pair, then the extra
+    crossed: np.ndarray  # (n // 2,) whether each pair's crossover fired
+    take_a: np.ndarray  # (n // 2, d) child one takes parent a's gene; all True unless crossed
+    mutate: np.ndarray  # (n, d) genes that mutate
+    steps: np.ndarray  # (n, d) standard normal mutation steps
 
 
-def crossover_pair(
-    rng: RandomStream, a: Vector, b: Vector, p_crossover: float
-) -> tuple[Vector, Vector, bool]:
-    """Uniform crossover applied with probability p_crossover.
+def draw_generation(
+    rng: RandomStream, n: int, d: int, p_crossover: float, p_mutation: float
+) -> GenerationDraws:
+    """Draw a generation's selection, crossover and mutation variates.
 
-    Returns both children and whether the operator fired; one uniform draw
-    for the gate plus d mask draws when it does.
+    The layout depends on no objective value.  Per pair: two roulette draws
+    and the crossover gate (fires below p_crossover); when it fires, d mask
+    draws (child one takes a's gene below 0.5); then child one's d mutation
+    draws (mutates below p_mutation) and d normal steps, then child two's.
+    An odd n ends with one roulette draw, d mutation draws and d steps for
+    the extra child.  Uniform draws that follow one another come as one
+    block; normal draws stay separate calls, as a ziggurat draw takes a
+    variable number of raw outputs.
     """
-    if rng.uniform() < p_crossover:
-        mask = rng.uniform_vector(a.size) < 0.5
-        return np.where(mask, a, b), np.where(mask, b, a), True
-    return a.copy(), b.copy(), False
-
-
-def mutate_genes(
-    rng: RandomStream, child: Vector, p_mutation: float, sigma: Vector, bounds: Bounds
-) -> np.ndarray:
-    """Per-gene Gaussian mutation in place; returns the mutated-gene mask.
-
-    Consumes d mask draws and d normal draws regardless of the mask, so
-    the stream layout does not depend on outcomes.
-    """
-    mask = rng.uniform_vector(child.size) < p_mutation
-    steps = rng.normal_vector(child.size)
-    child[mask] += steps[mask] * sigma[mask]
-    np.clip(child, bounds.lower, bounds.upper, out=child)
-    return mask
+    pairs = n // 2
+    picks = np.empty(n)
+    crossed = np.zeros(pairs, dtype=bool)
+    take_u = np.zeros((pairs, d))
+    mutate_u = np.empty((n, d))
+    steps = np.empty((n, d))
+    for p in range(pairs):
+        head = rng.uniform_vector(3)
+        picks[2 * p : 2 * p + 2] = head[:2]
+        crossed[p] = head[2] < p_crossover
+        block = rng.uniform_vector(2 * d if crossed[p] else d)
+        if crossed[p]:
+            take_u[p] = block[:d]
+        mutate_u[2 * p] = block[-d:]
+        steps[2 * p] = rng.normal_vector(d)
+        mutate_u[2 * p + 1] = rng.uniform_vector(d)
+        steps[2 * p + 1] = rng.normal_vector(d)
+    if n % 2:
+        tail = rng.uniform_vector(1 + d)
+        picks[-1] = tail[0]
+        mutate_u[-1] = tail[1:]
+        steps[-1] = rng.normal_vector(d)
+    return GenerationDraws(picks, crossed, take_u < 0.5, mutate_u < p_mutation, steps)
 
 
 def _ga_sweeps(params: GaParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:
-    n = params.n
+    n, d = params.n, obj.dim
+    paired = 2 * (n // 2)
     bounds = obj.bounds
     sigma = MUTATION_SIGMA_FRACTION * bounds.width
-    pop = np.stack([uniform_sample(bounds, rng) for _ in range(n)])
-    values = np.array([counted_evaluate(obj, p, budget) for p in pop])
+    pop = _initial_population(bounds, n, rng)
+    values = counted_evaluate_rows(obj, pop, budget)
     b = int(np.argmin(values))
     best_val = float(values[b])
     best_pos = pop[b].copy()
     while True:
         yield best_val, best_pos, pop
+        draws = draw_generation(rng, n, d, params.p_crossover, params.p_mutation)
         # Rank transform: best individual gets weight n, worst gets 1.
-        order = np.argsort(values, kind="stable")
         weights = np.empty(n)
-        weights[order] = np.arange(n, 0, -1)
+        weights[np.argsort(values, kind="stable")] = np.arange(n, 0, -1)
         cumulative = np.cumsum(weights)
+        parents = pop[np.searchsorted(cumulative, draws.picks * cumulative[-1], side="right")]
+        # Uniform crossover within each pair; an odd n's extra child copies its parent.
+        offspring = parents.copy()
+        a, b = parents[0:paired:2], parents[1:paired:2]
+        offspring[0:paired:2] = np.where(draws.take_a, a, b)
+        offspring[1:paired:2] = np.where(draws.take_a, b, a)
+        # Gaussian mutation of the masked genes only: adding a zero step
+        # elsewhere would turn -0.0 into 0.0.
+        mutated = np.where(draws.mutate, offspring + draws.steps * sigma, offspring)
+        offspring = np.clip(mutated, bounds.lower, bounds.upper)
 
-        offspring = np.empty_like(pop)
-        for pair in range(n // 2):
-            pa = pop[_roulette(rng, cumulative)]
-            pb = pop[_roulette(rng, cumulative)]
-            c1, c2, _ = crossover_pair(rng, pa, pb, params.p_crossover)
-            mutate_genes(rng, c1, params.p_mutation, sigma, bounds)
-            mutate_genes(rng, c2, params.p_mutation, sigma, bounds)
-            offspring[2 * pair] = c1
-            offspring[2 * pair + 1] = c2
-        if n % 2:
-            extra = pop[_roulette(rng, cumulative)].copy()
-            mutate_genes(rng, extra, params.p_mutation, sigma, bounds)
-            offspring[-1] = extra
-
-        new_values = np.empty(n)
-        for i in range(n):
-            try:
-                new_values[i] = counted_evaluate(obj, offspring[i], budget)
-            except BudgetExceededError:
-                # Partial generation still counts its observations.
-                for j in range(i):
-                    if new_values[j] < best_val:
-                        best_val = float(new_values[j])
-                        best_pos = offspring[j].copy()
-                yield best_val, best_pos, None
-                return
+        new_values = counted_evaluate_rows(obj, offspring, budget)
+        k = new_values.size
+        if k:
+            # A partial generation still counts its observations.
+            j = int(np.argmin(new_values))
+            if new_values[j] < best_val:
+                best_val = float(new_values[j])
+                best_pos = offspring[j].copy()
+        if k < n:
+            yield best_val, best_pos, None
+            return
         pop = offspring
         values = new_values
-        b = int(np.argmin(values))
-        if values[b] < best_val:
-            best_val = float(values[b])
-            best_pos = pop[b].copy()
 
 
 def run_ga(

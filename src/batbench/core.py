@@ -19,6 +19,8 @@ __all__ = [
     "clamp_to_bounds",
     "uniform_sample",
     "counted_evaluate",
+    "counted_evaluate_rows",
+    "scores_rows",
     "derive_seed",
 ]
 
@@ -106,8 +108,8 @@ class Objective:
             arg.setflags(write=False)
             object.__setattr__(self, "known_argmin", arg)
 
-    def __call__(self, x: Vector) -> float:
-        return float(self.fn(x))
+    def __call__(self, x) -> float:
+        return float(self.fn(np.asarray(x, dtype=float)))
 
 
 class RandomStream:
@@ -141,10 +143,6 @@ class RandomStream:
         give back what it did not use.
         """
         self._gen.bit_generator.advance(-int(k) % 2**128)
-
-    def symmetric_vector(self, d: int) -> Vector:
-        """d draws from [-1, 1]."""
-        return 2.0 * self.uniform_vector(d) - 1.0
 
     def normal_vector(self, d: int) -> Vector:
         return self._gen.standard_normal(d)
@@ -203,8 +201,9 @@ def uniform_sample(b: Bounds, rng: RandomStream) -> Vector:
 def counted_evaluate(obj: Objective, x: Vector, budget: EvalBudget) -> float:
     """Evaluate obj at x, charging one unit of budget.
 
-    A NaN value ranks worst: it is returned as ``inf`` (and still charged),
-    so it can never become a best that no later value compares below.
+    A non-finite value (NaN, inf or -inf) ranks worst: it is returned as
+    ``inf`` (and still charged), so it can never become a best, and a NaN
+    cannot stop later values from comparing below it.
     Raises BudgetExceededError (budget untouched) once the budget is spent.
     """
     if budget.used >= budget.max_evaluations:
@@ -213,4 +212,32 @@ def counted_evaluate(obj: Objective, x: Vector, budget: EvalBudget) -> float:
         )
     value = float(obj.fn(x))
     budget.used += 1
-    return math.inf if math.isnan(value) else value
+    return value if math.isfinite(value) else math.inf
+
+
+def scores_rows(fn: Callable) -> Callable:
+    """Mark fn as scoring an (m, d) block of points in one call.
+
+    ``fn(xs)`` must return the m values that the calls ``fn(xs[i])`` return,
+    bit for bit.  The mark sits on the function itself, so an objective
+    whose ``fn`` wraps a marked function is evaluated point by point.
+    """
+    fn.scores_rows = True
+    return fn
+
+
+def counted_evaluate_rows(obj: Objective, xs: np.ndarray, budget: EvalBudget) -> np.ndarray:
+    """Evaluate the first k = min(m, budget.remaining) rows of xs in order,
+    charging one unit per row; returns their k values.
+
+    A function marked :func:`scores_rows` scores the k rows in one call; any
+    other is called once per row through :func:`counted_evaluate`.  Either
+    way the values and the charge equal k point evaluations, and a
+    non-finite value is returned as ``inf``.
+    """
+    k = min(len(xs), budget.remaining)
+    if not getattr(obj.fn, "scores_rows", False):
+        return np.array([counted_evaluate(obj, x, budget) for x in xs[:k]], dtype=float)
+    values = obj.fn(xs[:k])
+    budget.used += k
+    return np.where(np.isfinite(values), values, math.inf)

@@ -332,3 +332,101 @@ def reference_trials(algorithm: str, objective, tolerance: Optional[float], max_
         run(objective, reference_seed(master_seed, algorithm, k), max_evals, tolerance, **params)
         for k in range(trials)
     ]
+
+
+# ---------------------------------------------------------------------------
+# The registry's formulas, frozen as they were written point by point, with
+# numpy's np.sum wrapper.  The registry now writes most of them once over
+# the last axis; its values must equal these bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _rosenbrock_paper(x):
+    x = np.asarray(x, dtype=float)
+    return float(np.sum((1.0 - x[:-1] ** 2) ** 2 + 100.0 * (x[1:] - x[:-1] ** 2) ** 2))
+
+
+def _rosenbrock_classic(x):
+    x = np.asarray(x, dtype=float)
+    return float(np.sum((1.0 - x[:-1]) ** 2 + 100.0 * (x[1:] - x[:-1] ** 2) ** 2))
+
+
+def _eggcrate(x):
+    a, b = float(x[0]), float(x[1])
+    return a * a + b * b + 25.0 * (np.sin(a) ** 2 + np.sin(b) ** 2)
+
+
+def _dejong_sphere(x):
+    x = np.asarray(x, dtype=float)
+    return float(np.sum(x * x))
+
+
+def _ackley(x):
+    x = np.asarray(x, dtype=float)
+    d = x.size
+    return float(
+        20.0
+        + np.e
+        - 20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x) / d))
+        - np.exp(np.sum(np.cos(2.0 * np.pi * x)) / d)
+    )
+
+
+def _michalewicz(x, m=10):
+    x = np.asarray(x, dtype=float)
+    i = np.arange(1, x.size + 1)
+    return float(-np.sum(np.sin(x) * np.sin(i * x * x / np.pi) ** (2 * m)))
+
+
+def _rastrigin(x):
+    x = np.asarray(x, dtype=float)
+    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+
+
+def _griewank(x):
+    x = np.asarray(x, dtype=float)
+    i = np.arange(1, x.size + 1)
+    return float(np.sum(x * x) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))) + 1.0)
+
+
+def _easom(x):
+    a, b = float(x[0]), float(x[1])
+    return float(-np.cos(a) * np.cos(b) * np.exp(-((a - np.pi) ** 2 + (b - np.pi) ** 2)))
+
+
+def _schwefel(x):
+    x = np.asarray(x, dtype=float)
+    return float(418.9829 * x.size - np.sum(x * np.sin(np.sqrt(np.abs(x)))))
+
+
+def _shubert(x):
+    j = np.arange(1, 6)
+
+    def comb(t):
+        return float(np.sum(j * np.cos((j + 1) * t + j)))
+
+    return comb(float(x[0])) * comb(float(x[1]))
+
+
+def _multiple_peaks(x):
+    centers = np.array([[3.0, 3.0], [-3.0, -3.0], [3.0, -3.0], [-3.0, 3.0]])
+    heights = np.array([2.0, 1.5, 1.2, 1.0])
+    x = np.asarray(x, dtype=float)
+    d2 = np.sum((centers - x) ** 2, axis=1)
+    return float(-np.sum(heights * np.exp(-d2 / (2.0 * 0.8**2))))
+
+
+FROZEN_FORMULAS = {
+    "rosenbrock_paper": _rosenbrock_paper,
+    "rosenbrock_classic": _rosenbrock_classic,
+    "eggcrate": _eggcrate,
+    "dejong_sphere": _dejong_sphere,
+    "ackley": _ackley,
+    "michalewicz": _michalewicz,
+    "rastrigin": _rastrigin,
+    "griewank": _griewank,
+    "easom": _easom,
+    "schwefel": _schwefel,
+    "shubert": _shubert,
+    "multiple_peaks": _multiple_peaks,
+}

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from batbench.baselines import (
     GaParams,
     PsoParams,
-    crossover_pair,
-    mutate_genes,
+    draw_generation,
     run_ga,
     run_pso,
 )
@@ -148,27 +150,54 @@ def test_ga_deterministic():
 
 
 def test_operator_rates_over_1e5_offspring():
+    # 2,500 generations of 40 at d=10: 50,000 pairings, 100,000 offspring.
     rng = RandomStream(2718)
-    bounds = Bounds.cube(-10.0, 10.0, 10)
-    sigma = 0.1 * bounds.width
-    a = np.zeros(10)
-    b = np.ones(10)
     applied = 0
-    pairings = 50_000
-    for _ in range(pairings):
-        _, _, fired = crossover_pair(rng, a, b, 0.95)
-        applied += fired
-    assert applied / pairings == pytest.approx(0.95, abs=0.01)
-
+    pairings = 0
     mutated_genes = 0
-    offspring = 100_000
-    for _ in range(offspring):
-        child = np.zeros(10)
-        mask = mutate_genes(rng, child, 0.05, sigma, bounds)
-        mutated_genes += int(mask.sum())
+    offspring = 0
+    for _ in range(2_500):
+        draws = draw_generation(rng, 40, 10, 0.95, 0.05)
+        applied += int(draws.crossed.sum())
+        pairings += draws.crossed.size
+        mutated_genes += int(draws.mutate.sum())
+        offspring += draws.mutate.shape[0]
+        # a pair whose crossover did not fire copies its parents
+        assert draws.take_a[~draws.crossed].all()
+    assert applied / pairings == pytest.approx(0.95, abs=0.01)
     assert mutated_genes / (offspring * 10) == pytest.approx(0.05, abs=0.005)
 
 
 def test_baselines_budget_below_population():
     assert not run_pso(PsoParams(), SPHERE2, 1, EvalBudget(10), stop_at=1e-5).success
     assert not run_ga(GaParams(), SPHERE2, 1, EvalBudget(10), stop_at=1e-5).success
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    algorithm=st.sampled_from(["pso", "ga"]),
+    n=st.integers(2, 12),
+    sweeps=st.integers(0, 6),
+    data=st.data(),
+)
+def test_rows_and_point_calls_agree_and_charge_exactly(algorithm, n, sweeps, data):
+    # A budget that is not a multiple of n cuts the last sweep short.  The
+    # registry's Rastrigin scores each sweep in one call; wrapped in a call
+    # counter it is called once per point.  Both charge every row once and
+    # give the same trial.
+    cut = data.draw(st.integers(1, n - 1), label="cut")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    run, params = {"pso": (run_pso, PsoParams(n=n)), "ga": (run_ga, GaParams(n=n))}[algorithm]
+    rastrigin = benchmark_spec("rastrigin", 3).objective
+    counter = CallCounter(rastrigin.fn)
+    wrapped = dataclasses.replace(rastrigin, fn=counter)
+    max_evals = n + sweeps * n + cut
+    by_rows, by_points = [], []
+    rows = run(params, rastrigin, seed, EvalBudget(max_evals), recorder=by_rows.append)
+    points = run(params, wrapped, seed, EvalBudget(max_evals), recorder=by_points.append)
+    assert rows == points
+    assert rows.evaluations_used == counter.calls == max_evals
+    assert rows.iterations == sweeps
+    assert [(r.iteration, r.positions.tobytes(), r.best_value) for r in by_rows] == [
+        (r.iteration, r.positions.tobytes(), r.best_value) for r in by_points
+    ]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from batbench.benchmarks import (
     UnknownBenchmarkError,
@@ -15,7 +15,7 @@ from batbench.benchmarks import (
     schwefel,
     shubert,
 )
-from oracles import global_minima_2d, refine_1d, refine_2d
+from oracles import FROZEN_FORMULAS, global_minima_2d, refine_1d, refine_2d
 
 TWO_PI = 2.0 * np.pi
 
@@ -78,6 +78,11 @@ def test_benchmark_spec_errors():
         evaluate_benchmark("nosuch", [0.0])
     with pytest.raises(ValueError):
         evaluate_benchmark("eggcrate", [0.0, 0.0, 0.0])
+
+
+def test_objective_call_takes_a_list():
+    objective = benchmark_spec("rastrigin", 3).objective
+    assert objective([0.5, -1.0, 2.0]) == objective(np.array([0.5, -1.0, 2.0]))
 
 
 def test_aliases_resolve_to_sphere():
@@ -179,3 +184,33 @@ def test_michalewicz_dim16_in_table_shape():
     spec = benchmark_spec("michalewicz", 16)
     mid = np.full(16, np.pi / 2)
     assert np.isfinite(michalewicz(mid))
+
+
+def _dims(name):
+    constraint = dim_constraint(name)
+    if constraint.startswith("d="):
+        return st.just(int(constraint[2:]))
+    return st.integers(int(constraint[3:]), 64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(registry_names()), st.data())
+def test_formulas_equal_their_frozen_point_forms_bit_for_bit(name, data):
+    # In-box points at d = 1..64 in blocks of m = 1..41 rows, a share of
+    # their coordinates set to a signed zero or a face of the box.
+    d = data.draw(_dims(name), label="d")
+    m = data.draw(st.integers(1, 41), label="m")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    share = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="share")
+    objective = benchmark_spec(name, d).objective
+    b = objective.bounds
+    rng = np.random.default_rng(seed)
+    xs = b.lower + rng.random((m, d)) * b.width
+    special = rng.random((m, d)) < share
+    xs[special] = rng.choice([-0.0, 0.0, b.lower[0], b.upper[0]], size=int(special.sum()))
+    assert b.contains(xs)
+    frozen = np.array([FROZEN_FORMULAS[name](x) for x in xs])
+    points = np.array([objective.fn(x) for x in xs])
+    assert points.tobytes() == frozen.tobytes()
+    if getattr(objective.fn, "scores_rows", False):
+        assert objective.fn(xs).tobytes() == frozen.tobytes()

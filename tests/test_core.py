@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +13,13 @@ from batbench.core import (
     RandomStream,
     clamp_to_bounds,
     counted_evaluate,
+    counted_evaluate_rows,
     derive_seed,
+    scores_rows,
     uniform_sample,
 )
+from batbench.benchmarks import benchmark_spec
+from oracles import CallCounter
 
 
 class StubStream:
@@ -33,9 +40,6 @@ class StubStream:
         v = self._vectors.pop(0)
         assert v.size == d
         return v
-
-    def symmetric_vector(self, d):
-        return 2.0 * self.uniform_vector(d) - 1.0
 
 
 BOX2 = Bounds.cube(-2.048, 2.048, 2)
@@ -122,8 +126,6 @@ def test_random_stream_ranges():
     rng = RandomStream(5)
     u = rng.uniform_vector(10_000)
     assert ((u >= 0.0) & (u < 1.0)).all()
-    s = rng.symmetric_vector(10_000)
-    assert ((s >= -1.0) & (s <= 1.0)).all()
 
 
 def test_derived_seeds_distinct_for_a_million_trials():
@@ -176,3 +178,44 @@ def test_budget_validation():
 def test_objective_known_min_consistency():
     obj = _sphere_objective()
     assert abs(obj(obj.known_argmin) - obj.known_min) <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_are_returned_as_inf_and_charged(bad):
+    obj = Objective("bad", 2, BOX2, lambda x: bad)
+    budget = EvalBudget(5)
+    assert counted_evaluate(obj, np.zeros(2), budget) == math.inf
+    rows = Objective("bad", 2, BOX2, scores_rows(lambda xs: np.array([1.0, bad, -0.0])[: len(xs)]))
+    values = counted_evaluate_rows(rows, np.zeros((3, 2)), budget)
+    assert values.tolist() == [1.0, math.inf, -0.0] and math.copysign(1.0, values[2]) == -1.0
+    assert budget.used == 4
+
+
+@given(
+    m=st.integers(1, 41),
+    max_evaluations=st.integers(1, 100),
+    used=st.integers(0, 100),
+    path=st.sampled_from(["rows", "counted rows", "wrapped"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_counted_evaluate_rows_charges_min_of_rows_and_remaining(m, max_evaluations, used, path, seed):
+    used = min(used, max_evaluations)
+    rastrigin = benchmark_spec("rastrigin", 3).objective
+    counter = CallCounter(rastrigin.fn)
+    if path == "rows":
+        fn = rastrigin.fn
+    elif path == "counted rows":
+        fn = scores_rows(counter)
+    else:
+        fn = counter
+    obj = dataclasses.replace(rastrigin, fn=fn)
+    xs = rastrigin.bounds.lower + np.random.default_rng(seed).random((m, 3)) * rastrigin.bounds.width
+    budget = EvalBudget(max_evaluations, used=used)
+    values = counted_evaluate_rows(obj, xs, budget)
+    k = min(m, max_evaluations - used)
+    assert budget.used == used + k
+    assert values.tolist() == [rastrigin(x) for x in xs[:k]]
+    if path == "wrapped":
+        assert counter.calls == k
+    elif path == "counted rows" and k:
+        assert counter.calls == 1

@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from batbench.benchmarks import benchmark_spec
-from batbench.core import derive_seed
+from batbench.core import derive_seed, scores_rows
 from batbench.harness import (
     UnknownAlgorithmError,
     ExperimentSummary,
@@ -110,6 +110,35 @@ def test_nan_values_rank_worst(algorithm):
     assert math.isfinite(r.best_value)
     assert r.best_value == half_nan(np.array(r.best_position))
     assert r.evaluations_used == 2_000
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    algorithm=st.sampled_from(["bat", "pso", "ga"]),
+    slabs=st.lists(st.sampled_from([None, math.nan, math.inf, -math.inf]), min_size=8, max_size=8),
+    rows=st.booleans(),
+)
+def test_non_finite_values_rank_worst(algorithm, slabs, rows):
+    # Sphere d=4 cut into 8 slabs along x[0], each slab scoring the sphere
+    # (None) or one non-finite value.  A -inf taken as a value would be a
+    # best that meets any tolerance.  Marked, the function takes PSO's and
+    # GA's row path; unmarked, they call it point by point.
+    finite = np.array([v is None for v in slabs])
+    special = np.array([0.0 if v is None else v for v in slabs])
+
+    def masked(x):
+        slab = np.minimum(((x[..., 0] + 10.0) / 2.5).astype(int), 7)
+        return np.where(finite[slab], np.add.reduce(x * x, axis=-1), special[slab])
+
+    sphere = benchmark_spec("dejong_sphere", 4)
+    fn = scores_rows(masked) if rows else masked
+    spec = dataclasses.replace(sphere, objective=dataclasses.replace(sphere.objective, fn=fn))
+    r = run_trial(algorithm, spec, 1e-5, 400, seed=1)
+    assert not math.isnan(r.best_value) and r.best_value > -math.inf
+    if math.isfinite(r.best_value):
+        assert r.best_value == masked(np.array(r.best_position))
+    assert r.success == (r.best_value <= 1e-5)
+    assert r.evaluations_used == 400 or r.success
 
 
 def test_run_trial_deterministic():
