@@ -15,7 +15,6 @@ from .core import (
     clamp_to_bounds,
     counted_evaluate,
     derive_seed,
-    uniform_sample,
 )
 from .harness import (
     ALGORITHMS,
@@ -56,5 +55,4 @@ __all__ = [
     "run_pso",
     "run_trial",
     "summarize",
-    "uniform_sample",
 ]

@@ -7,6 +7,7 @@ same trajectory-sink contract as the bat optimizer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -51,8 +52,11 @@ class PsoParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("population size must be >= 2")
-        if self.c1 < 0.0 or self.c2 < 0.0:
-            raise ValueError("learning parameters must be non-negative")
+        # Written so that a NaN fails it.
+        if not (0.0 <= self.c1 < math.inf and 0.0 <= self.c2 < math.inf):
+            raise ValueError("learning parameters must be non-negative and finite")
+        if not math.isfinite(self.inertia):
+            raise ValueError("inertia must be finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

@@ -16,7 +16,7 @@ bat, because an acceptance moves the best that later moves aim at.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,14 +35,12 @@ from .results import Recorder, Sweeps, TrialResult, drive_trial
 
 __all__ = [
     "BatParams",
-    "Bat",
-    "Swarm",
     "BatState",
     "init_bats",
-    "frequency_and_global_move",
+    "global_move",
     "local_walk",
     "average_loudness",
-    "accept_and_update",
+    "accept",
     "bat_step",
     "run_bat",
 ]
@@ -72,12 +70,13 @@ class BatParams:
         if self.n < 1:
             raise ValueError("population size must be >= 1")
         # Equal ends are allowed: f_min = f_max = 0 disables the global move.
-        if not (0.0 <= self.f_min <= self.f_max):
-            raise ValueError("need 0 <= f_min <= f_max")
+        # Each check is written so that a NaN fails it.
+        if not 0.0 <= self.f_min <= self.f_max < math.inf:
+            raise ValueError("need 0 <= f_min <= f_max < inf")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         a_lo, a_hi = self.loudness_range
         if not (0.0 < a_lo <= a_hi):
             raise ValueError("loudness_range must have a positive lower end")
@@ -89,8 +88,9 @@ class BatParams:
 
 
 @dataclass
-class Swarm:
-    """The bats as a struct of arrays: row i of every array is bat i.
+class BatState:
+    """The state of one trial's swarm, as a struct of arrays: row i of every
+    array is bat i.
 
     ``acceptance_logs[i]`` lists the iterations at which bat i accepted.
     """
@@ -104,112 +104,12 @@ class Swarm:
     initial_pulse_rates: np.ndarray
     values: np.ndarray  # objective at each position, cached for ranking
     acceptance_logs: list[list[int]]
-
-    @classmethod
-    def stack(cls, bats: list[Bat]) -> Swarm:
-        rows = {f.name: [getattr(b.swarm, f.name)[b.index] for b in bats] for f in fields(cls)}
-        logs = rows.pop("acceptance_logs")
-        return cls(**{k: np.array(v) for k, v in rows.items()}, acceptance_logs=[list(g) for g in logs])
-
-    @property
-    def bats(self) -> list[Bat]:
-        return [Bat.row(self, i) for i in range(len(self.values))]
-
-
-class _Row:
-    """A Bat attribute read from and written to the bat's row of one Swarm array."""
-
-    def __init__(self, array: str):
-        self.array = array
-
-    def __get__(self, bat, owner=None):
-        if bat is None:
-            return self
-        item = getattr(bat.swarm, self.array)[bat.index]
-        return float(item) if isinstance(item, np.floating) else item
-
-    def __set__(self, bat, value):
-        getattr(bat.swarm, self.array)[bat.index] = value
-
-
-class Bat:
-    """One bat: row ``index`` of ``swarm``.
-
-    A bat built from values is the one row of a swarm of its own.  A
-    BatState built from bats takes their rows over, so an update through a
-    bat and through the state is one update.  ``position`` and ``velocity``
-    are views of the row.
-    """
-
-    position = _Row("positions")
-    velocity = _Row("velocities")
-    frequency = _Row("frequencies")
-    loudness = _Row("loudness")
-    initial_loudness = _Row("initial_loudness")
-    pulse_rate = _Row("pulse_rates")
-    initial_pulse_rate = _Row("initial_pulse_rates")
-    value = _Row("values")
-    acceptance_log = _Row("acceptance_logs")
-
-    def __init__(
-        self,
-        position: Vector,
-        velocity: Vector,
-        frequency: float,
-        loudness: float,
-        initial_loudness: float,
-        pulse_rate: float,
-        initial_pulse_rate: float,
-        value: float = math.inf,
-        acceptance_log: Optional[list[int]] = None,
-    ):
-        self.swarm = Swarm(
-            np.array([position], dtype=float),
-            np.array([velocity], dtype=float),
-            *(np.array([v], dtype=float) for v in (
-                frequency, loudness, initial_loudness, pulse_rate, initial_pulse_rate, value
-            )),
-            [list(acceptance_log or ())],
-        )
-        self.index = 0
-
-    @classmethod
-    def row(cls, swarm: Swarm, index: int) -> Bat:
-        bat = cls.__new__(cls)
-        bat.swarm, bat.index = swarm, index
-        return bat
-
-
-class BatState:
-    """Full swarm state, confined to a single trial.
-
-    The bats passed in are stacked into one ``swarm`` and become views of
-    its rows; ``bats`` gives a view of every row.
-    """
-
-    def __init__(
-        self,
-        bats: list[Bat],
-        best_position: Vector,
-        best_value: float,
-        iteration: int,
-        rng: RandomStream,
-        budget: EvalBudget,
-        budget_terminated: bool = False,
-    ):
-        self.swarm = Swarm.stack(bats)
-        for i, bat in enumerate(bats):
-            bat.swarm, bat.index = self.swarm, i
-        self.best_position = best_position
-        self.best_value = best_value
-        self.iteration = iteration
-        self.rng = rng
-        self.budget = budget
-        self.budget_terminated = budget_terminated
-
-    @property
-    def bats(self) -> list[Bat]:
-        return self.swarm.bats
+    best_position: Vector
+    best_value: float
+    rng: RandomStream
+    budget: EvalBudget
+    iteration: int = 0
+    budget_terminated: bool = False
 
 
 def init_bats(
@@ -231,8 +131,9 @@ def init_bats(
     positions = bounds.lower + draws[:, :d] * bounds.width
     loudness = a_lo + (a_hi - a_lo) * draws[:, d + 1]
     pulse_rates = r_lo + (r_hi - r_lo) * draws[:, d + 2]
-    values = [counted_evaluate(obj, x, budget) for x in positions]
-    swarm = Swarm(
+    values = np.array([counted_evaluate(obj, x, budget) for x in positions])
+    best = int(np.argmin(values))
+    return BatState(
         positions,
         np.zeros((n, d)),
         params.f_min + (params.f_max - params.f_min) * draws[:, d],
@@ -240,18 +141,20 @@ def init_bats(
         loudness.copy(),
         pulse_rates,
         pulse_rates.copy(),
-        np.array(values),
+        values,
         [[] for _ in range(n)],
+        positions[best].copy(),
+        float(values[best]),
+        rng,
+        budget,
     )
-    best = min(range(n), key=values.__getitem__)
-    return BatState(swarm.bats, positions[best].copy(), values[best], 0, rng, budget)
 
 
-# The printed rules, each written once over rows of bats; the sweep and the
-# per-bat functions below both apply them.
+# The printed rules.  Each is written once and works on one bat or on rows
+# of bats; bat_step applies all of them.
 
 
-def _global_move(
+def global_move(
     positions: np.ndarray, velocities: np.ndarray, best: Vector, beta, params: BatParams, bounds: Bounds
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f = f_min + (f_max - f_min) beta, v += (x - x*) f, x + v clamped.
@@ -265,66 +168,34 @@ def _global_move(
     return velocities, clamp_to_bounds(positions + velocities, bounds), frequencies
 
 
-def _local_walk(base: Vector, draws: np.ndarray, avg_loudness: float, bounds: Bounds) -> np.ndarray:
+def local_walk(base: Vector, draws: np.ndarray, avg_loudness: float, bounds: Bounds) -> np.ndarray:
     """x* + eps * mean loudness, clamped, with eps = 2u - 1 from uniform draws u."""
-    return clamp_to_bounds(base + (2.0 * draws - 1.0) * avg_loudness, bounds)
-
-
-def _accept(swarm: Swarm, i: int, candidate: Vector, value: float, iteration: int, params: BatParams) -> None:
-    """Bat i moves to its candidate; after its k-th acceptance its loudness
-    is A0 alpha^k and its pulse rate r0 (1 - exp(-gamma t)) at iteration t."""
-    swarm.positions[i] = candidate
-    swarm.values[i] = value
-    log = swarm.acceptance_logs[i]
-    log.append(iteration)
-    swarm.loudness[i] = swarm.initial_loudness[i] * params.alpha ** len(log)
-    swarm.pulse_rates[i] = swarm.initial_pulse_rates[i] * (1.0 - math.exp(-params.gamma * iteration))
-
-
-def frequency_and_global_move(
-    bat: Bat, best: Vector, params: BatParams, bounds: Bounds, rng: RandomStream
-) -> tuple[Vector, Vector, float]:
-    """Frequency draw plus velocity/position update; one uniform draw."""
-    return _global_move(bat.position, bat.velocity, best, rng.uniform(), params, bounds)
-
-
-def local_walk(
-    base: Vector, avg_loudness: float, bounds: Bounds, rng: RandomStream
-) -> Vector:
-    """Uniform [-1,1] per-coordinate step around `base`, scaled by avg loudness."""
     if avg_loudness < 0.0:
         raise ValueError("avg_loudness must be non-negative")
-    return _local_walk(base, rng.uniform_vector(base.size), avg_loudness, bounds)
+    return clamp_to_bounds(base + (2.0 * draws - 1.0) * avg_loudness, bounds)
 
 
 def average_loudness(state: BatState) -> float:
     """Mean loudness, summed left to right as the reference does."""
-    loudness = state.swarm.loudness.tolist()
+    loudness = state.loudness.tolist()
     return sum(loudness) / len(loudness)
 
 
-def accept_and_update(
-    bat: Bat,
-    candidate: Vector,
-    candidate_value: float,
-    state: BatState,
-    params: BatParams,
-    rng: RandomStream,
-) -> bool:
-    """Gated greedy acceptance; exactly one uniform draw in all cases.
+def accept(state: BatState, i: int, candidate: Vector, value: float, params: BatParams) -> None:
+    """Bat i moves to its candidate, which becomes the swarm best.
 
-    On acceptance the bat moves, its loudness decays to
-    alpha^k * initial (k = accepted updates so far) and its pulse rate is
-    reset to r0 * (1 - exp(-gamma * t)) at the current iteration t; the
-    swarm best is updated.  Rejection leaves the bat where it was.
+    After its k-th acceptance a bat's loudness is A0 alpha^k and its pulse
+    rate r0 (1 - exp(-gamma t)) at iteration t.  The gate that decides an
+    acceptance is bat_step's.
     """
-    draw = rng.uniform()
-    if draw < bat.loudness and candidate_value < state.best_value:
-        _accept(bat.swarm, bat.index, candidate, candidate_value, state.iteration, params)
-        state.best_position = candidate
-        state.best_value = candidate_value
-        return True
-    return False
+    state.positions[i] = candidate
+    state.values[i] = value
+    log = state.acceptance_logs[i]
+    log.append(state.iteration)
+    state.loudness[i] = state.initial_loudness[i] * params.alpha ** len(log)
+    state.pulse_rates[i] = state.initial_pulse_rates[i] * (1.0 - math.exp(-params.gamma * state.iteration))
+    state.best_position = candidate.copy()
+    state.best_value = value
 
 
 def _draw_layout(block: Vector, pulse_rates: list[float], d: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -356,26 +227,26 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
     in which case the state is flagged terminated and the iteration
     counter is left unchanged (the sweep did not complete).
     """
-    swarm, rng, bounds = state.swarm, state.rng, obj.bounds
-    n, d = swarm.positions.shape
+    rng, bounds = state.rng, obj.bounds
+    n, d = state.positions.shape
     avg = average_loudness(state)
     block = rng.uniform_vector(n * (3 + d))
-    starts, walks, used = _draw_layout(block, swarm.pulse_rates.tolist(), d)
+    starts, walks, used = _draw_layout(block, state.pulse_rates.tolist(), d)
     betas = block[starts]
     walkers = np.flatnonzero(walks)
     walk_draws = block[starts[walkers, None] + 2 + np.arange(d)]
     accept_draws = block[starts + 2 + d * walks].tolist()
     # A bat's loudness changes only at its own acceptance, after its test.
-    loudness = swarm.loudness.tolist()
+    loudness = state.loudness.tolist()
 
     def moves(first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Velocities, candidates and frequencies of bats first..n-1."""
-        velocities, candidates, frequencies = _global_move(
-            swarm.positions[first:], swarm.velocities[first:], state.best_position,
+        velocities, candidates, frequencies = global_move(
+            state.positions[first:], state.velocities[first:], state.best_position,
             betas[first:], params, bounds,
         )
         later = walkers >= first
-        candidates[walkers[later] - first] = _local_walk(
+        candidates[walkers[later] - first] = local_walk(
             state.best_position, walk_draws[later], avg, bounds
         )
         return velocities, candidates, frequencies
@@ -386,18 +257,16 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
             value = counted_evaluate(obj, candidates[i], state.budget)
         except BudgetExceededError:
             # Bat i drew its frequency, gate and walk before the budget ran out.
-            swarm.velocities[: i + 1] = velocities[: i + 1]
-            swarm.frequencies[: i + 1] = frequencies[: i + 1]
+            state.velocities[: i + 1] = velocities[: i + 1]
+            state.frequencies[: i + 1] = frequencies[: i + 1]
             rng.rewind(block.size - (starts[i] + 2 + d * walks[i]))
             state.budget_terminated = True
             return state
         if accept_draws[i] < loudness[i] and value < state.best_value:
-            _accept(swarm, i, candidates[i], value, state.iteration, params)
-            state.best_position = candidates[i].copy()
-            state.best_value = value
+            accept(state, i, candidates[i], value, params)
             velocities[i + 1 :], candidates[i + 1 :], _ = moves(i + 1)
-    swarm.velocities[:] = velocities
-    swarm.frequencies[:] = frequencies
+    state.velocities[:] = velocities
+    state.frequencies[:] = frequencies
     rng.rewind(block.size - used)
     state.iteration += 1
     return state
@@ -406,7 +275,7 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
 def _sweeps(params: BatParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:
     state = init_bats(params, obj, rng, budget)
     while True:
-        positions = None if state.budget_terminated else state.swarm.positions.copy()
+        positions = None if state.budget_terminated else state.positions.copy()
         yield state.best_value, state.best_position, positions
         bat_step(state, params, obj)
 

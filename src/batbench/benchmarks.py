@@ -292,10 +292,5 @@ def benchmark_spec(name: str, dim: Optional[int] = None) -> BenchmarkSpec:
 
 def evaluate_benchmark(name: str, x: Vector) -> float:
     """Evaluate a registered function at x, validating the dimension."""
-    d = _resolve(name)
     x = np.asarray(x, dtype=float)
-    if d.fixed_dim is not None and x.size != d.fixed_dim:
-        raise ValueError(f"{name} is only defined for d={d.fixed_dim}, got d={x.size}")
-    if x.size < d.min_dim:
-        raise ValueError(f"{name} requires d>={d.min_dim}, got d={x.size}")
-    return float(d.fn(x))
+    return benchmark_spec(name, x.size).objective(x)

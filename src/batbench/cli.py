@@ -71,20 +71,9 @@ class RunConfig:
     workers: int = 1
 
     def to_json(self) -> str:
-        payload = {
-            "subcommand": self.subcommand,
-            "algorithms": list(self.algorithms),
-            "functions": list(self.functions),
-            "dim": self.dim,
-            "trials": self.trials,
-            "tolerance": self.tolerance,
-            "max_evals": self.max_evals,
-            "population": self.population,
-            "overrides": self.overrides,
-            "master_seed": self.master_seed,
-            "output_format": self.output_format,
-            "iters": self.iters,
-            "workers": self.workers,
+        payload = dataclasses.asdict(self)
+        del payload["output"]
+        payload |= {
             "rng": RandomStream.algorithm,
             "tool_version": __version__,
             "statistics": "mean/std over successful trials only; success_rate over all trials",
@@ -296,7 +285,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="batbench",
-        description="Swarm-optimizer experiment runner: bat algorithm vs PSO and GA baselines.",
+        description="Experiment runner for swarm optimizers: the bat algorithm vs PSO and GA baselines.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

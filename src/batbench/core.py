@@ -17,7 +17,6 @@ __all__ = [
     "BudgetExceededError",
     "TrajectoryRecord",
     "clamp_to_bounds",
-    "uniform_sample",
     "counted_evaluate",
     "counted_evaluate_rows",
     "scores_rows",
@@ -191,11 +190,6 @@ def clamp_to_bounds(x: np.ndarray, b: Bounds) -> np.ndarray:
     if x.shape[-1:] != b.lower.shape:
         raise ValueError(f"point dimension {x.shape} != bounds dimension {b.lower.shape}")
     return np.minimum(np.maximum(x, b.lower), b.upper)
-
-
-def uniform_sample(b: Bounds, rng: RandomStream) -> Vector:
-    """One point uniform over the box; consumes exactly dim draws."""
-    return b.lower + rng.uniform_vector(b.dim) * b.width
 
 
 def counted_evaluate(obj: Objective, x: Vector, budget: EvalBudget) -> float:

@@ -31,7 +31,7 @@ from batbench import (
     evaluate_benchmark,
     run_trial,
 )
-from batbench.bat import Bat, BatState, accept_and_update
+from batbench.bat import BatState, accept
 from batbench.baselines import run_ga, run_pso
 from batbench.bat import run_bat
 from batbench.cli import run_cli
@@ -66,13 +66,6 @@ def _reference_mismatches(results, references) -> list[str]:
         if diff:
             out.append(f"trial {k}: " + ", ".join(diff))
     return out
-
-
-class _ZeroStream:
-    """Forces the acceptance gate open: every uniform draw is 0."""
-
-    def uniform(self):
-        return 0.0
 
 
 def test_criterion_1_benchmark_oracle_suite():
@@ -110,34 +103,32 @@ def test_criterion_2_schedule_closed_forms():
     start = time.perf_counter()
     params = BatParams()  # alpha = gamma = 0.9
     a0, r0 = 1.7, 0.8
-    bat = Bat(
-        position=np.array([5.0]),
-        velocity=np.zeros(1),
-        frequency=0.0,
-        loudness=a0,
-        initial_loudness=a0,
-        pulse_rate=r0,
-        initial_pulse_rate=r0,
-    )
     state = BatState(
-        bats=[bat],
+        positions=np.array([[5.0]]),
+        velocities=np.zeros((1, 1)),
+        frequencies=np.zeros(1),
+        loudness=np.array([a0]),
+        initial_loudness=np.array([a0]),
+        pulse_rates=np.array([r0]),
+        initial_pulse_rates=np.array([r0]),
+        values=np.array([math.inf]),
+        acceptance_logs=[[]],
         best_position=np.array([5.0]),
         best_value=1e9,
-        iteration=0,
         rng=RandomStream(0),
         budget=EvalBudget(1),
     )
-    gate = _ZeroStream()
 
-    # Forced-acceptance synthetic run: candidate always improves, draw always 0.
+    # Forced-acceptance synthetic run: the candidate always improves.
     value = 1e8
     for k in range(1, 120):
         state.iteration = k
-        assert accept_and_update(bat, np.array([float(k)]), value, state, params, gate)
+        accept(state, 0, np.array([float(k)]), value, params)
+        assert len(state.acceptance_logs[0]) == k
         value /= 2.0
-        assert bat.loudness == a0 * 0.9**k  # exact closed form
+        assert state.loudness[0] == a0 * 0.9**k  # exact closed form
         expected_pulse = r0 * (1.0 - math.exp(-0.9 * state.iteration))
-        assert abs(bat.pulse_rate - expected_pulse) <= 1e-12
+        assert abs(state.pulse_rates[0] - expected_pulse) <= 1e-12
 
     # Loudness threshold: 0.9^k < 1e-4 first at k = 88.
     threshold_ok = (0.9**88 < 1e-4) and (0.9**87 >= 1e-4)
@@ -145,8 +136,8 @@ def test_criterion_2_schedule_closed_forms():
 
     # Eq-limit check at t = 1e3: pulse has converged to its ceiling.
     state.iteration = 1_000
-    accept_and_update(bat, np.array([0.0]), -1.0, state, params, gate)
-    limit_ok = abs(bat.pulse_rate - r0) <= 1e-12
+    accept(state, 0, np.array([0.0]), -1.0, params)
+    limit_ok = abs(state.pulse_rates[0] - r0) <= 1e-12
 
     elapsed = time.perf_counter() - start
     ok = threshold_ok and limit_ok

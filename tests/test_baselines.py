@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from batbench.baselines import (
     GaParams,
     PsoParams,
+    _initial_population,
     draw_generation,
     run_ga,
     run_pso,
@@ -100,9 +101,7 @@ def test_ga_degenerate_operators_copy_parents():
     records = []
     rng = RandomStream(17)
     # regenerate the initial population exactly as run_ga draws it
-    from batbench.core import uniform_sample
-
-    init = np.stack([uniform_sample(SPHERE2.bounds, rng) for _ in range(12)])
+    init = _initial_population(SPHERE2.bounds, 12, rng)
     run_ga(params, SPHERE2, 17, EvalBudget(12 * 2), recorder=records.append)
     offspring = records[0].positions
     for row in offspring:

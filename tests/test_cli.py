@@ -164,6 +164,18 @@ def test_invalid_flag_values_exit_2(tmp_path):
         assert run_cli(["run", "--algorithm", "bat", "--function", "dejong", "--trials", "2",
                         "--max-evals", "100", "--workers", workers, "--output", str(out)]) == 2
     assert not out.exists()
+    # non-finite values: no campaign runs and no non-strict JSON is written
+    jsonl = tmp_path / "never.jsonl"
+    for algorithm, flag, value in [
+        ("pso", "--c1", "nan"), ("pso", "--inertia", "nan"), ("bat", "--gamma", "nan"),
+        ("bat", "--fmax", "inf"), ("bat", "--tolerance", "nan"),
+        ("pso", "--c1", "inf"), ("bat", "--gamma", "inf"), ("ga", "--tolerance", "inf"),
+    ]:
+        assert run_cli(["run", "--algorithm", algorithm, "--function", "dejong", "--trials", "1",
+                        "--max-evals", "100", flag, value, "--format", "jsonl",
+                        "--output", str(jsonl)]) == 2
+        assert not jsonl.exists()
+        assert not (tmp_path / "never.jsonl.config.json").exists()
 
 
 def test_stdout_when_no_output(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from batbench.baselines import _initial_population
 from batbench.core import (
     Bounds,
     BudgetExceededError,
@@ -16,24 +17,17 @@ from batbench.core import (
     counted_evaluate_rows,
     derive_seed,
     scores_rows,
-    uniform_sample,
 )
 from batbench.benchmarks import benchmark_spec
 from oracles import CallCounter
 
 
 class StubStream:
-    """Duck-typed stand-in feeding predetermined draws."""
+    """Duck-typed stand-in feeding predetermined blocks of draws."""
 
-    def __init__(self, uniforms=(), vectors=()):
-        self._uniforms = list(uniforms)
+    def __init__(self, vectors=()):
         self._vectors = [np.asarray(v, dtype=float) for v in vectors]
-        self.uniform_calls = 0
         self.vector_calls = 0
-
-    def uniform(self):
-        self.uniform_calls += 1
-        return self._uniforms.pop(0)
 
     def uniform_vector(self, d):
         self.vector_calls += 1
@@ -82,23 +76,25 @@ def test_clamp_idempotent(coords):
     assert BOX2.contains(once)
 
 
-def test_uniform_sample_affine_map():
+def test_initial_population_affine_map():
     b1 = Bounds.cube(0.0, 1.0, 1)
-    assert uniform_sample(b1, StubStream(vectors=[[0.25]]))[0] == 0.25
+    assert _initial_population(b1, 1, StubStream(vectors=[[0.25]]))[0, 0] == 0.25
     b5 = Bounds.cube(-5.0, 5.0, 1)
-    assert uniform_sample(b5, StubStream(vectors=[[0.5]]))[0] == 0.0
+    assert _initial_population(b5, 1, StubStream(vectors=[[0.5]]))[0, 0] == 0.0
 
 
-def test_uniform_sample_consumes_exactly_d_draws():
-    stub = StubStream(vectors=[[0.1, 0.2, 0.3]])
-    uniform_sample(Bounds.cube(0.0, 1.0, 3), stub)
+def test_initial_population_draws_n_times_d_in_one_block():
+    # The stub checks that the block holds exactly n*d draws.
+    stub = StubStream(vectors=[[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]])
+    pop = _initial_population(Bounds.cube(0.0, 1.0, 3), 2, stub)
     assert stub.vector_calls == 1 and not stub._vectors
+    assert pop.tolist() == [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]
 
 
-def test_uniform_sample_mean_law_of_large_numbers():
+def test_initial_population_mean_law_of_large_numbers():
     rng = RandomStream(2024)
     b = Bounds.cube(0.0, 1.0, 2)
-    pts = np.stack([uniform_sample(b, rng) for _ in range(10_000)])
+    pts = _initial_population(b, 10_000, rng)
     for k in range(2):
         assert 0.47 <= pts[:, k].mean() <= 0.53
 
