@@ -21,7 +21,6 @@ from .harness import (
     ExperimentSummary,
     TrialResult,
     experiment_trials,
-    run_experiment,
     run_trial,
     summarize,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "experiment_trials",
     "registry_names",
     "run_bat",
-    "run_experiment",
     "run_ga",
     "run_pso",
     "run_trial",

@@ -50,10 +50,6 @@ __all__ = [
 class BatParams:
     """Tuning knobs; defaults follow the reference configuration
     (n=40, f in [0,100], alpha=gamma=0.9, loudness in [1,2], pulse ceiling in [0,1]).
-
-    ``velocity_toward_best`` flips the sign of the velocity increment so
-    bats are pulled toward the swarm best instead of pushed past it; the
-    default keeps the push-away form v += (x - x_best) * f.
     """
 
     n: int = 40
@@ -64,7 +60,6 @@ class BatParams:
     loudness_range: tuple[float, float] = (1.0, 2.0)
     pulse_range: tuple[float, float] = (0.0, 1.0)
     max_iterations: int = 10_000
-    velocity_toward_best: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -159,12 +154,10 @@ def global_move(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f = f_min + (f_max - f_min) beta, v += (x - x*) f, x + v clamped.
 
-    ``velocity_toward_best`` uses (x* - x) instead.  Returns (velocities,
-    moved positions, frequencies).
+    Returns (velocities, moved positions, frequencies).
     """
     frequencies = params.f_min + (params.f_max - params.f_min) * beta
-    delta = best - positions if params.velocity_toward_best else positions - best
-    velocities = velocities + delta * np.expand_dims(frequencies, -1)
+    velocities = velocities + (positions - best) * np.expand_dims(frequencies, -1)
     return velocities, clamp_to_bounds(positions + velocities, bounds), frequencies
 
 
@@ -223,9 +216,10 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
     its worst case of n(3 + d) uniforms and gives back what it did not use,
     so the stream ends where bat-by-bat draws would leave it.
 
-    Consumes exactly n evaluations unless the budget runs out mid-sweep,
-    in which case the state is flagged terminated and the iteration
-    counter is left unchanged (the sweep did not complete).
+    Evaluates the first min(n, budget.remaining) candidates.  A sweep the
+    budget cuts short keeps its acceptances, sets ``budget_terminated`` and
+    leaves the iteration counter, velocities and frequencies as they were;
+    the stream's position after it is not specified.
     """
     rng, bounds = state.rng, obj.bounds
     n, d = state.positions.shape
@@ -252,19 +246,15 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
         return velocities, candidates, frequencies
 
     velocities, candidates, frequencies = moves(0)
-    for i in range(n):
-        try:
-            value = counted_evaluate(obj, candidates[i], state.budget)
-        except BudgetExceededError:
-            # Bat i drew its frequency, gate and walk before the budget ran out.
-            state.velocities[: i + 1] = velocities[: i + 1]
-            state.frequencies[: i + 1] = frequencies[: i + 1]
-            rng.rewind(block.size - (starts[i] + 2 + d * walks[i]))
-            state.budget_terminated = True
-            return state
+    evaluated = min(n, state.budget.remaining)
+    for i in range(evaluated):
+        value = counted_evaluate(obj, candidates[i], state.budget)
         if accept_draws[i] < loudness[i] and value < state.best_value:
             accept(state, i, candidates[i], value, params)
             velocities[i + 1 :], candidates[i + 1 :], _ = moves(i + 1)
+    if evaluated < n:
+        state.budget_terminated = True
+        return state
     state.velocities[:] = velocities
     state.frequencies[:] = frequencies
     rng.rewind(block.size - used)

@@ -158,7 +158,6 @@ class BenchmarkSpec:
 
     name: str
     objective: Objective
-    default_dim: int
     citation: str  # "paper-eq" | "standard-literature"
 
 
@@ -167,7 +166,6 @@ class _Definition:
     fn: Callable[[Vector], float]
     lo: float
     hi: float
-    default_dim: int
     citation: str
     fixed_dim: Optional[int] = None  # None: any dim >= min_dim
     min_dim: int = 1
@@ -187,51 +185,51 @@ def _ones(dim: int) -> np.ndarray:
 
 _REGISTRY: dict[str, _Definition] = {
     "rosenbrock_paper": _Definition(
-        rosenbrock_paper, -2.048, 2.048, default_dim=2, citation="paper-eq",
+        rosenbrock_paper, -2.048, 2.048, citation="paper-eq",
         min_dim=2, argmin=_ones, min_value=0.0,
     ),
     "rosenbrock_classic": _Definition(
-        rosenbrock_classic, -2.048, 2.048, default_dim=2, citation="standard-literature",
+        rosenbrock_classic, -2.048, 2.048, citation="standard-literature",
         min_dim=2, argmin=_ones, min_value=0.0,
     ),
     "eggcrate": _Definition(
-        eggcrate, -2.0 * np.pi, 2.0 * np.pi, default_dim=2, citation="paper-eq",
+        eggcrate, -2.0 * np.pi, 2.0 * np.pi, citation="paper-eq",
         fixed_dim=2, argmin=_origin, min_value=0.0,
     ),
     "dejong_sphere": _Definition(
-        dejong_sphere, -10.0, 10.0, default_dim=2, citation="paper-eq",
+        dejong_sphere, -10.0, 10.0, citation="paper-eq",
         argmin=_origin, min_value=0.0,
     ),
     "ackley": _Definition(
-        ackley, -30.0, 30.0, default_dim=2, citation="paper-eq",
+        ackley, -30.0, 30.0, citation="paper-eq",
         argmin=_origin, min_value=0.0,
     ),
     "michalewicz": _Definition(
-        michalewicz, 0.0, np.pi, default_dim=2, citation="paper-eq",
+        michalewicz, 0.0, np.pi, citation="paper-eq",
         argmin=lambda dim: _MICHALEWICZ_ARGMIN.get(dim),
     ),
     "rastrigin": _Definition(
-        rastrigin, -5.12, 5.12, default_dim=2, citation="standard-literature",
+        rastrigin, -5.12, 5.12, citation="standard-literature",
         argmin=_origin, min_value=0.0,
     ),
     "griewank": _Definition(
-        griewank, -600.0, 600.0, default_dim=2, citation="standard-literature",
+        griewank, -600.0, 600.0, citation="standard-literature",
         argmin=_origin, min_value=0.0,
     ),
     "easom": _Definition(
-        easom, -100.0, 100.0, default_dim=2, citation="standard-literature",
+        easom, -100.0, 100.0, citation="standard-literature",
         fixed_dim=2, argmin=lambda dim: np.array([np.pi, np.pi]), min_value=-1.0,
     ),
     "schwefel": _Definition(
-        schwefel, -500.0, 500.0, default_dim=2, citation="standard-literature",
+        schwefel, -500.0, 500.0, citation="standard-literature",
         argmin=lambda dim: np.full(dim, _SCHWEFEL_COORD_ARGMIN),
     ),
     "shubert": _Definition(
-        shubert, -10.0, 10.0, default_dim=2, citation="standard-literature",
+        shubert, -10.0, 10.0, citation="standard-literature",
         fixed_dim=2, argmin=lambda dim: _SHUBERT_ARGMIN.copy(),
     ),
     "multiple_peaks": _Definition(
-        multiple_peaks, -5.0, 5.0, default_dim=2, citation="standard-literature",
+        multiple_peaks, -5.0, 5.0, citation="standard-literature",
         fixed_dim=2, argmin=lambda dim: np.array([3.0, 3.0]), min_value=-2.0,
     ),
 }
@@ -259,14 +257,14 @@ def dim_constraint(name: str) -> str:
 
 
 def benchmark_spec(name: str, dim: Optional[int] = None) -> BenchmarkSpec:
-    """Build the registry entry for `name` at dimension `dim`.
+    """Build the registry entry for `name` at dimension `dim` (2 when None).
 
     Raises UnknownBenchmarkError for unregistered names and ValueError for
     dimensions the function does not support.
     """
     d = _resolve(name)
     if dim is None:
-        dim = d.default_dim
+        dim = 2
     if d.fixed_dim is not None and dim != d.fixed_dim:
         raise ValueError(f"{name} is only defined for d={d.fixed_dim}, got d={dim}")
     if dim < d.min_dim:
@@ -287,7 +285,7 @@ def benchmark_spec(name: str, dim: Optional[int] = None) -> BenchmarkSpec:
         known_min=known_min,
         known_argmin=argmin,
     )
-    return BenchmarkSpec(canonical, objective, d.default_dim, d.citation)
+    return BenchmarkSpec(canonical, objective, d.citation)
 
 
 def evaluate_benchmark(name: str, x: Vector) -> float:

@@ -128,7 +128,8 @@ def _emit(cfg: RunConfig, records: list[dict]) -> None:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(list(records[0]))
         writer.writerows([_csv_cell(v) for v in record.values()] for record in records)
-        _write_output(cfg, _comment_header(cfg) + buf.getvalue(), sidecar=False)
+        header = f"# batbench {__version__}\n# config {cfg.to_json()}\n"
+        _write_output(cfg, header + buf.getvalue(), sidecar=False)
     else:
         lines = [
             "{" + ", ".join(f'"{k}": {_json_value(v)}' for k, v in record.items()) + "}"
@@ -145,10 +146,6 @@ def _write_output(cfg: RunConfig, body: str, sidecar: bool) -> None:
     path.write_text(body)
     if sidecar:
         Path(str(path) + ".config.json").write_text(cfg.to_json() + "\n")
-
-
-def _comment_header(cfg: RunConfig) -> str:
-    return f"# batbench {__version__}\n# config {cfg.to_json()}\n"
 
 
 def _trace_line(record: TrajectoryRecord) -> str:
@@ -182,49 +179,24 @@ def _campaign_config(args: argparse.Namespace, algorithms: tuple, functions: tup
         master_seed=args.seed,
         output=args.output,
         output_format=args.format,
+        iters=args.iters,
         workers=args.workers,
     )
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _campaign_config(args, (args.algorithm,), (args.function,))
-    lookup_algorithm(args.algorithm)
-    spec = benchmark_spec(args.function, args.dim)
-    trials = experiment_trials(
-        cfg.algorithms,
-        spec,
-        args.tolerance,
-        args.max_evals,
-        args.trials,
-        args.seed,
-        params_by_algorithm=_build_params(cfg),
-        workers=args.workers,
-    )[args.algorithm]
-    _emit(cfg, [
-        {
-            "function": r.function, "dim": r.dim, "algorithm": r.algorithm, "trial": k,
-            "seed": r.seed, "evaluations_used": r.evaluations_used, "success": r.success,
-            "best_value": r.best_value, "iterations": r.iterations,
-        }
-        for k, r in enumerate(trials)
-    ])
-    return 0
+def _campaign(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> tuple[RunConfig, list]:
+    """The resolved config and, per function, every algorithm's trials.
 
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    algorithms = tuple(s.strip() for s in args.algorithms.split(",") if s.strip())
-    functions = tuple(s.strip() for s in args.functions.split(",") if s.strip())
-    if not algorithms or not functions:
-        raise ValueError("need at least one algorithm and one function")
+    Names are looked up first, then the specs and then the params are
+    built, so errors are reported in that order before any trial runs.
+    """
     cfg = _campaign_config(args, algorithms, functions)
     for algorithm in algorithms:
         lookup_algorithm(algorithm)
     specs = [benchmark_spec(name, args.dim) for name in functions]
     params_by_algorithm = _build_params(cfg)
-
-    records = []
-    for spec in specs:
-        by_algorithm = experiment_trials(
+    return cfg, [
+        experiment_trials(
             algorithms,
             spec,
             args.tolerance,
@@ -234,10 +206,37 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             params_by_algorithm=params_by_algorithm,
             workers=args.workers,
         )
+        for spec in specs
+    ]
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    cfg, [by_algorithm] = _campaign(args, (args.algorithm,), (args.function,))
+    _emit(cfg, [
+        {
+            "function": r.function, "dim": r.dim, "algorithm": r.algorithm, "trial": k,
+            "seed": r.seed, "evaluations_used": r.evaluations_used, "success": r.success,
+            "best_value": r.best_value, "iterations": r.iterations,
+        }
+        for k, r in enumerate(by_algorithm[args.algorithm])
+    ])
+    return 0
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    algorithms = tuple(s.strip() for s in args.algorithms.split(",") if s.strip())
+    functions = tuple(s.strip() for s in args.functions.split(",") if s.strip())
+    if not algorithms or not functions:
+        raise ValueError("need at least one algorithm and one function")
+    cfg, campaigns = _campaign(args, algorithms, functions)
+
+    records = []
+    for by_algorithm in campaigns:
         for algorithm in algorithms:
-            summary = summarize(by_algorithm[algorithm])
+            trials = by_algorithm[algorithm]
+            summary = summarize(trials)
             records.append({
-                "function": spec.name, "dim": spec.objective.dim, "algorithm": algorithm,
+                "function": trials[0].function, "dim": trials[0].dim, "algorithm": algorithm,
                 "trials": summary.trial_count, "mean_evals": summary.mean_evals,
                 "std_evals": summary.std_evals, "success_rate": summary.success_rate,
                 "master_seed": args.seed, "tool_version": __version__,
@@ -247,21 +246,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        subcommand="trace",
-        algorithms=(args.algorithm,),
-        functions=(args.function,),
-        dim=args.dim,
-        trials=1,
-        tolerance=None,
-        max_evals=args.pop * (args.iters + 1),
-        population=args.pop,
-        overrides=_overrides_from(args),
-        master_seed=args.seed,
-        output=args.output,
-        output_format="jsonl",
-        iters=args.iters,
-    )
+    # The budget of exactly --iters sweeps after initialisation.
+    args.max_evals = args.pop * (args.iters + 1)
+    cfg = _campaign_config(args, (args.algorithm,), (args.function,))
     lookup_algorithm(args.algorithm)
     if args.iters < 1:
         raise ValueError("--iters must be >= 1")
@@ -300,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
         for flag in _OVERRIDE_FLAGS:
             p.add_argument(f"--{flag}", type=float, default=None)
+        p.set_defaults(iters=None)
 
     p_run = sub.add_parser("run", help="per-trial results for one algorithm/function")
     p_run.add_argument("--algorithm", required=True)
@@ -325,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trc.add_argument("--output", default=None)
     for flag in _OVERRIDE_FLAGS:
         p_trc.add_argument(f"--{flag}", type=float, default=None)
-    p_trc.set_defaults(handler=_cmd_trace)
+    # trace takes no flags for these; its config records them as fixed.
+    p_trc.set_defaults(handler=_cmd_trace, trials=1, tolerance=None, workers=1, format="jsonl")
 
     p_ls = sub.add_parser("list-functions", help="registry names with dim constraints")
     p_ls.set_defaults(handler=_cmd_list)

@@ -31,7 +31,6 @@ __all__ = [
     "default_params",
     "run_trial",
     "experiment_trials",
-    "run_experiment",
     "summarize",
 ]
 
@@ -130,13 +129,13 @@ def experiment_trials(
     params_by_algorithm = params_by_algorithm or {}
 
     jobs = [
-        (algorithm, k, derive_seed(master_seed, algorithm, k))
+        (algorithm, derive_seed(master_seed, algorithm, k))
         for algorithm in algorithms
         for k in range(trials)
     ]
 
     def execute(job):
-        algorithm, _, seed = job
+        algorithm, seed = job
         return run_trial(
             algorithm,
             spec,
@@ -151,35 +150,8 @@ def experiment_trials(
             outcomes = list(pool.map(execute, jobs))
     else:
         outcomes = [execute(job) for job in jobs]
-
-    by_algorithm: dict[str, list[TrialResult]] = {a: [None] * trials for a in algorithms}
-    for (algorithm, k, _), outcome in zip(jobs, outcomes):
-        by_algorithm[algorithm][k] = outcome
-    return by_algorithm
-
-
-def run_experiment(
-    algorithms: Sequence[str],
-    spec: BenchmarkSpec,
-    tolerance: Optional[float],
-    max_evals: int,
-    trials: int,
-    master_seed: int,
-    params_by_algorithm: Optional[dict[str, AlgorithmParams]] = None,
-    workers: int = 1,
-) -> dict[str, ExperimentSummary]:
-    """Aggregated campaign: one ExperimentSummary per algorithm."""
-    by_algorithm = experiment_trials(
-        algorithms,
-        spec,
-        tolerance,
-        max_evals,
-        trials,
-        master_seed,
-        params_by_algorithm=params_by_algorithm,
-        workers=workers,
-    )
-    return {algorithm: summarize(results) for algorithm, results in by_algorithm.items()}
+    # The jobs, and so the outcomes, are in algorithm-major order.
+    return {algorithm: outcomes[i * trials : (i + 1) * trials] for i, algorithm in enumerate(algorithms)}
 
 
 def summarize(results: Sequence[TrialResult]) -> ExperimentSummary:

@@ -152,6 +152,7 @@ def test_criterion_3_figure_reproduction(tmp_path):
     # final-iteration best must land within 0.5 of a minimizer ((1,1) or
     # (-1,1) for the squared-variable form).
     minimizers = [np.array([1.0, 1.0]), np.array([-1.0, 1.0])]
+    rosenbrock = benchmark_spec("rosenbrock_paper", 2).objective
     rosen_hits = 0
     traces = []
     for k in range(100):
@@ -166,7 +167,7 @@ def test_criterion_3_figure_reproduction(tmp_path):
         last = json.loads(lines[-1])
         traces.append((len(lines), last))
         positions = np.array(last["positions"])
-        values = [evaluate_benchmark("rosenbrock_paper", p) for p in positions]
+        values = [rosenbrock(p) for p in positions]
         best_pos = positions[int(np.argmin(values))]
         assert min(values) == pytest.approx(last["best"], rel=1e-12, abs=1e-12)
         if min(np.linalg.norm(best_pos - m) for m in minimizers) <= 0.5:

@@ -132,13 +132,6 @@ def test_global_move_hand_example():
     assert x[0] == 4.0
 
 
-def test_global_move_reversed_sign_flag():
-    params = BatParams(f_min=0.0, f_max=1.0, velocity_toward_best=True)
-    v, x, _ = global_move(np.array([2.0]), np.zeros(1), np.array([0.0]), 1.0, params, WIDE)
-    assert v[0] == -2.0
-    assert x[0] == 0.0
-
-
 def test_local_walk_zero_loudness_and_zero_draws():
     base = np.array([0.3, -0.4])
     b = Bounds.cube(-10.0, 10.0, 2)
@@ -358,6 +351,24 @@ def test_run_bat_partial_iteration_on_odd_budget():
     assert state.iteration == 2
     assert result.iterations == 2
     assert result.evaluations_used == budget.max_evaluations
+
+
+def test_bat_step_cut_sweep_uses_remaining_budget_and_leaves_moves():
+    # 3 evaluations are left for 7 bats: the sweep evaluates 3 candidates and
+    # is no iteration, so no bat's velocity or frequency changes.
+    rastrigin = benchmark_spec("rastrigin", 3).objective
+    counter = CallCounter(rastrigin.fn)
+    obj = Objective("rastrigin", 3, rastrigin.bounds, counter, 0.0, np.zeros(3))
+    params = BatParams(n=7)
+    budget = EvalBudget(7 + 3)
+    state = init_bats(params, obj, RandomStream(4), budget)
+    velocities, frequencies = state.velocities.copy(), state.frequencies.copy()
+    bat_step(state, params, obj)
+    assert counter.calls == budget.used == 7 + 3
+    assert state.budget_terminated
+    assert state.iteration == 0
+    assert np.array_equal(state.velocities, velocities)
+    assert np.array_equal(state.frequencies, frequencies)
 
 
 @pytest.mark.parametrize("function", ["dejong_sphere", "rastrigin", "ackley"])

@@ -12,7 +12,6 @@ from batbench.harness import (
     ExperimentSummary,
     TrialResult,
     experiment_trials,
-    run_experiment,
     run_trial,
     summarize,
 )
@@ -159,15 +158,14 @@ def test_experiment_concurrency_invariance():
     seq = experiment_trials(["bat", "ga"], SPEC2, 1e-2, 1_500, trials=6, master_seed=7, workers=1)
     par = experiment_trials(["bat", "ga"], SPEC2, 1e-2, 1_500, trials=6, master_seed=7, workers=4)
     assert seq == par
-    s1 = run_experiment(["bat"], SPEC2, 1e-2, 1_500, trials=6, master_seed=7, workers=1)
-    s2 = run_experiment(["bat"], SPEC2, 1e-2, 1_500, trials=6, master_seed=7, workers=3)
+    s1 = experiment_trials(["bat"], SPEC2, 1e-2, 1_500, trials=6, master_seed=7, workers=1)
+    s2 = experiment_trials(["bat"], SPEC2, 1e-2, 1_500, trials=6, master_seed=7, workers=3)
     assert s1 == s2
 
 
 def test_experiment_all_failures_reports_absent_markers():
     # budget below init cost: every trial fails
-    summaries = run_experiment(["bat"], SPEC2, 1e-5, 20, trials=4, master_seed=1)
-    s = summaries["bat"]
+    s = summarize(experiment_trials(["bat"], SPEC2, 1e-5, 20, trials=4, master_seed=1)["bat"])
     assert s == ExperimentSummary(mean_evals=None, std_evals=None, success_rate=0.0, trial_count=4)
 
 
