@@ -1,8 +1,9 @@
 """PSO and real-coded GA baselines sharing the trial contracts.
 
 Both count every objective call against the shared budget (initialization
-included), stop at tolerance / budget / iteration limits, and feed the
-same trajectory-sink contract as the bat optimizer.
+included) and report their best after each sweep; the trial driver, not
+the optimizer, stops the trial at tolerance / budget / iteration limits
+and feeds the same trajectory-sink contract as the bat optimizer.
 """
 
 from __future__ import annotations
@@ -114,14 +115,10 @@ def _pso_sweeps(params: PsoParams, obj: Objective, budget: EvalBudget, rng: Rand
         improved = np.flatnonzero(values < pbest_val[:k])
         pbest[improved] = x[improved]
         pbest_val[improved] = values[improved]
-        if k:
-            g = int(np.argmin(values))
-            if values[g] < gbest_val:
-                gbest_val = float(values[g])
-                gbest = x[g].copy()
-        if k < n:
-            yield gbest_val, gbest, None
-            return
+        g = int(np.argmin(values))
+        if values[g] < gbest_val:
+            gbest_val = float(values[g])
+            gbest = x[g].copy()
 
 
 def run_pso(
@@ -217,16 +214,11 @@ def _ga_sweeps(params: GaParams, obj: Objective, budget: EvalBudget, rng: Random
         offspring = np.clip(mutated, bounds.lower, bounds.upper)
 
         new_values = counted_evaluate_rows(obj, offspring, budget)
-        k = new_values.size
-        if k:
-            # A partial generation still counts its observations.
-            j = int(np.argmin(new_values))
-            if new_values[j] < best_val:
-                best_val = float(new_values[j])
-                best_pos = offspring[j].copy()
-        if k < n:
-            yield best_val, best_pos, None
-            return
+        # A partial generation still counts its observations.
+        j = int(np.argmin(new_values))
+        if new_values[j] < best_val:
+            best_val = float(new_values[j])
+            best_pos = offspring[j].copy()
         pop = offspring
         values = new_values
 

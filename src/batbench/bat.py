@@ -30,6 +30,7 @@ from .core import (
     Vector,
     clamp_to_bounds,
     counted_evaluate,
+    counted_evaluate_rows,
 )
 from .results import Recorder, Sweeps, TrialResult, drive_trial
 
@@ -104,7 +105,6 @@ class BatState:
     rng: RandomStream
     budget: EvalBudget
     iteration: int = 0
-    budget_terminated: bool = False
 
 
 def init_bats(
@@ -126,7 +126,7 @@ def init_bats(
     positions = bounds.lower + draws[:, :d] * bounds.width
     loudness = a_lo + (a_hi - a_lo) * draws[:, d + 1]
     pulse_rates = r_lo + (r_hi - r_lo) * draws[:, d + 2]
-    values = np.array([counted_evaluate(obj, x, budget) for x in positions])
+    values = counted_evaluate_rows(obj, positions, budget)
     best = int(np.argmin(values))
     return BatState(
         positions,
@@ -217,9 +217,9 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
     so the stream ends where bat-by-bat draws would leave it.
 
     Evaluates the first min(n, budget.remaining) candidates.  A sweep the
-    budget cuts short keeps its acceptances, sets ``budget_terminated`` and
-    leaves the iteration counter, velocities and frequencies as they were;
-    the stream's position after it is not specified.
+    budget cuts short is no iteration: it keeps its acceptances and leaves
+    the iteration counter, velocities and frequencies as they were; the
+    stream's position after it is not specified.
     """
     rng, bounds = state.rng, obj.bounds
     n, d = state.positions.shape
@@ -253,7 +253,6 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
             accept(state, i, candidates[i], value, params)
             velocities[i + 1 :], candidates[i + 1 :], _ = moves(i + 1)
     if evaluated < n:
-        state.budget_terminated = True
         return state
     state.velocities[:] = velocities
     state.frequencies[:] = frequencies
@@ -265,8 +264,7 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
 def _sweeps(params: BatParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:
     state = init_bats(params, obj, rng, budget)
     while True:
-        positions = None if state.budget_terminated else state.positions.copy()
-        yield state.best_value, state.best_position, positions
+        yield state.best_value, state.best_position, state.positions
         bat_step(state, params, obj)
 
 

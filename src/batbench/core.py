@@ -30,8 +30,8 @@ Vector = np.ndarray
 class BudgetExceededError(RuntimeError):
     """Raised when an evaluation is requested after the budget is spent.
 
-    Terminates the owning trial, never the process: run loops catch this
-    and return the state reached so far.
+    No trial raises it: drive_trial never lets a trial evaluate past its
+    budget.  It guards direct calls such as counted_evaluate and init_bats.
     """
 
 
@@ -74,9 +74,6 @@ class Bounds:
     @property
     def width(self) -> Vector:
         return self.upper - self.lower
-
-    def contains(self, x: Vector) -> bool:
-        return bool((x >= self.lower).all() and (x <= self.upper).all())
 
 
 @dataclass(frozen=True)

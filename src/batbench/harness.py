@@ -9,7 +9,6 @@ rate is reported separately over all trials.
 
 from __future__ import annotations
 
-import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -92,12 +91,6 @@ def run_trial(
 ) -> TrialResult:
     """One seeded run of one algorithm against one benchmark."""
     entry = lookup_algorithm(algorithm)
-    if tolerance is not None and not math.isfinite(tolerance):
-        raise ValueError("tolerance must be finite")
-    if tolerance is not None and spec.objective.known_min is None:
-        raise ValueError(
-            f"{spec.name} has no known minimum; tolerance-based success is undefined"
-        )
     if params is None:
         params = entry.params()
     return entry.run(

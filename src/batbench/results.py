@@ -17,8 +17,9 @@ __all__ = ["TrialResult", "ExperimentSummary", "Recorder", "Sweeps", "drive_tria
 Recorder = Callable[[TrajectoryRecord], None]
 
 # (best value, best position, positions) after initialisation and after each
-# sweep; positions is None when the budget ran out inside the sweep.
-Sweeps = Iterator[tuple[float, Vector, Optional[np.ndarray]]]
+# sweep.  A sweep only reports: drive_trial starts one only while budget is
+# left, and decides whether it counts.
+Sweeps = Iterator[tuple[float, Vector, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -69,32 +70,40 @@ def drive_trial(
     stop_at: Optional[float] = None,
     recorder: Optional[Recorder] = None,
 ) -> TrialResult:
-    """One trial: initialise n agents, then sweep until a stop.
+    """One trial: initialise n agents, then sweep until a stop.  This is the
+    one function that decides every stop.
 
     ``sweeps(rng)`` starts the algorithm on the trial's stream.  A budget
     below n skips the trial (no evaluation, no best position).  Otherwise
     the loop stops once the best is within ``stop_at`` of the known
-    minimum, after ``max_iterations`` complete sweeps, when the budget is
-    spent, or after a sweep the budget cut short; such a sweep's
+    minimum, after ``max_iterations`` sweeps, when the budget is spent, or
+    after a sweep that charged fewer than n evaluations; such a sweep's
     evaluations still count towards the best but not as an iteration.
-    The recorder receives one TrajectoryRecord per complete sweep.
+    The recorder receives one TrajectoryRecord per complete sweep, with a
+    copy of its positions.  A ``stop_at`` that is not finite, or one on an
+    objective without a known minimum, raises ValueError.
     """
+    if stop_at is not None and not math.isfinite(stop_at):
+        raise ValueError("tolerance must be finite")
+    if stop_at is not None and obj.known_min is None:
+        raise ValueError(f"{obj.name} has no known minimum; tolerance-based success is undefined")
     start = time.perf_counter()
 
     def tolerance_met(value: float) -> bool:
-        return stop_at is not None and obj.known_min is not None and value - obj.known_min <= stop_at
+        return stop_at is not None and value - obj.known_min <= stop_at
 
     best_value, best_position, iterations = math.inf, None, 0
     if budget.remaining >= n:
         trial = sweeps(RandomStream(seed))
         best_value, best_position, _ = next(trial)
         while not tolerance_met(best_value) and iterations < max_iterations and budget.remaining:
+            used = budget.used
             best_value, best_position, positions = next(trial)
-            if positions is None:
+            if budget.used - used < n:
                 break
             iterations += 1
             if recorder is not None:
-                recorder(TrajectoryRecord(iterations, positions, best_value))
+                recorder(TrajectoryRecord(iterations, positions.copy(), best_value))
     return TrialResult(
         algorithm=algorithm,
         function=obj.name,

@@ -14,7 +14,7 @@ from batbench.baselines import (
 )
 from batbench.benchmarks import benchmark_spec
 from batbench.core import Bounds, EvalBudget, Objective, RandomStream, derive_seed
-from oracles import CallCounter
+from oracles import CallCounter, reference_ga, reference_pso
 
 SPHERE2 = benchmark_spec("dejong_sphere", 2).objective
 
@@ -200,3 +200,25 @@ def test_rows_and_point_calls_agree_and_charge_exactly(algorithm, n, sweeps, dat
     assert [(r.iteration, r.positions.tobytes(), r.best_value) for r in by_rows] == [
         (r.iteration, r.positions.tobytes(), r.best_value) for r in by_points
     ]
+
+
+@pytest.mark.parametrize("function, dim", [("dejong_sphere", 2), ("rastrigin", 3)])
+@pytest.mark.parametrize("algorithm", ["pso", "ga"])
+def test_baselines_equal_reference_on_cut_sweeps(algorithm, function, dim):
+    # Budgets 40 + k*40 + r with 0 < r < 40 stop inside a sweep, which
+    # counts towards the best but not as an iteration.
+    run, params, reference = {
+        "pso": (run_pso, PsoParams(), reference_pso),
+        "ga": (run_ga, GaParams(), reference_ga),
+    }[algorithm]
+    obj = benchmark_spec(function, dim).objective
+    for k in (0, 1, 12):
+        for r in (1, 39):
+            for seed in (0, 1):
+                max_evals = 40 + k * 40 + r
+                result = run(params, obj, seed, EvalBudget(max_evals))
+                ref = reference(obj, seed, max_evals)
+                assert result.best_value == ref.best_value
+                assert result.best_position == ref.best_position
+                assert result.evaluations_used == ref.evaluations_used == max_evals
+                assert result.iterations == ref.iterations == k

@@ -275,9 +275,10 @@ def test_run_accounting_and_bounds_sweep():
 
 def _final_swarm(params, seed, budget):
     """The swarm run_bat ends with when no tolerance is set: sweeps until
-    the iteration cap, a spent budget or a sweep the budget cut short."""
+    the iteration cap or a spent budget; a sweep the budget cuts short
+    spends what is left."""
     state = init_bats(params, SPHERE2, RandomStream(seed), budget)
-    while state.iteration < params.max_iterations and budget.remaining and not state.budget_terminated:
+    while state.iteration < params.max_iterations and budget.remaining:
         bat_step(state, params, SPHERE2)
     return state
 
@@ -286,12 +287,13 @@ def test_run_bat_monotone_best_and_loudness_histories():
     params = BatParams(n=12, max_iterations=60)
     budget = EvalBudget(12 * 61)
     state = _final_swarm(params, 33, budget)
+    bounds = SPHERE2.bounds
     for i, log in enumerate(state.acceptance_logs):
         k = len(log)
         assert state.loudness[i] == state.initial_loudness[i] * 0.9**k
         assert 0.0 <= state.pulse_rates[i] <= state.initial_pulse_rates[i]
         assert log == sorted(log)
-        assert SPHERE2.bounds.contains(state.positions[i])
+        assert ((bounds.lower <= state.positions[i]) & (state.positions[i] <= bounds.upper)).all()
 
 
 def test_zero_frequency_zero_velocity_improves_only_via_local_walk():
@@ -346,8 +348,9 @@ def test_run_bat_partial_iteration_on_odd_budget():
     params = BatParams(n=40, max_iterations=1_000)
     budget = EvalBudget(40 + 2 * 40 + 15)
     result = run_bat(params, SPHERE2, 13, budget)
-    state = _final_swarm(params, 13, EvalBudget(budget.max_evaluations))
-    assert state.budget_terminated
+    swarm_budget = EvalBudget(budget.max_evaluations)
+    state = _final_swarm(params, 13, swarm_budget)
+    assert swarm_budget.remaining == 0
     assert state.iteration == 2
     assert result.iterations == 2
     assert result.evaluations_used == budget.max_evaluations
@@ -365,7 +368,7 @@ def test_bat_step_cut_sweep_uses_remaining_budget_and_leaves_moves():
     velocities, frequencies = state.velocities.copy(), state.frequencies.copy()
     bat_step(state, params, obj)
     assert counter.calls == budget.used == 7 + 3
-    assert state.budget_terminated
+    assert budget.remaining == 0
     assert state.iteration == 0
     assert np.array_equal(state.velocities, velocities)
     assert np.array_equal(state.frequencies, frequencies)

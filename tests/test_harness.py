@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from batbench.benchmarks import benchmark_spec
-from batbench.core import derive_seed, scores_rows
+from batbench.core import Bounds, EvalBudget, Objective, counted_evaluate_rows, derive_seed, scores_rows
 from batbench.harness import (
+    ALGORITHMS,
     UnknownAlgorithmError,
     ExperimentSummary,
     TrialResult,
@@ -15,6 +16,7 @@ from batbench.harness import (
     run_trial,
     summarize,
 )
+from batbench.results import drive_trial
 from oracles import welford
 
 SPEC2 = benchmark_spec("dejong_sphere", 2)
@@ -79,6 +81,39 @@ def test_run_trial_unknown_algorithm_and_missing_min():
     # without a tolerance the same spec runs fine
     r = run_trial("bat", no_min, None, 400, 0)
     assert r.evaluations_used == 400
+
+
+def test_drive_trial_counts_a_sweep_only_when_it_charged_n():
+    # The sweeps never signal a cut: with n = 4 and a budget of 10 the
+    # second sweep charges 2, ends the trial and is not an iteration.
+    obj = SPEC2.objective
+    budget = EvalBudget(10)
+    rows = np.zeros((4, 2))
+
+    def sweeps(rng):
+        while True:
+            counted_evaluate_rows(obj, rows, budget)
+            yield 0.0, rows[0], rows
+
+    records = []
+    result = drive_trial("toy", sweeps, 4, 100, obj, 0, budget, recorder=records.append)
+    assert result.iterations == 1
+    assert [r.iteration for r in records] == [1]
+    assert result.evaluations_used == budget.used == 10
+
+
+@pytest.mark.parametrize("algorithm", ["bat", "pso", "ga"])
+def test_runners_reject_an_undefined_tolerance(algorithm):
+    # Without a known minimum, or with a NaN tolerance, success cannot be
+    # decided; the runners raise before they evaluate anything.
+    entry = ALGORITHMS[algorithm]
+    params = entry.params(n=4)
+    no_min = Objective("nomin", 2, Bounds.cube(-1.0, 1.0, 2), lambda x: float(x @ x))
+    for obj, stop_at in ((no_min, 1.0), (SPEC2.objective, math.nan)):
+        budget = EvalBudget(40)
+        with pytest.raises(ValueError):
+            entry.run(params, obj, 0, budget, stop_at=stop_at)
+        assert budget.used == 0
 
 
 def test_run_trial_budget_below_init():
