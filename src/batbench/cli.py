@@ -142,21 +142,13 @@ def _write_output(cfg: RunConfig, body: str, sidecar: bool) -> None:
     if cfg.output is None:
         sys.stdout.write(body)
         return
-    path = Path(cfg.output)
-    path.write_text(body)
+    Path(cfg.output).write_text(body)
     if sidecar:
-        Path(str(path) + ".config.json").write_text(cfg.to_json() + "\n")
+        _write_sidecar(cfg)
 
 
-def _trace_line(record: TrajectoryRecord) -> str:
-    rows = ",".join(
-        "[" + ",".join(_fmt(v) for v in row) + "]" for row in record.positions
-    )
-    return '{"iter": %d, "positions": [%s], "best": %s}' % (
-        record.iteration,
-        rows,
-        _json_value(record.best_value),
-    )
+def _write_sidecar(cfg: RunConfig) -> None:
+    Path(cfg.output + ".config.json").write_text(cfg.to_json() + "\n")
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
@@ -254,18 +246,27 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise ValueError("--iters must be >= 1")
     spec = benchmark_spec(args.function, args.dim)
     params = _build_params(cfg)[args.algorithm]
-    records: list[TrajectoryRecord] = []
-    run_trial(
-        args.algorithm,
-        spec,
-        None,
-        cfg.max_evals,
-        args.seed,
-        params=params,
-        recorder=records.append,
-    )
-    body = "\n".join(_trace_line(r) for r in records) + "\n"
-    _write_output(cfg, body, sidecar=True)
+    # One template per trace; "%.17g" is the conversion _fmt makes.
+    row = "[" + ",".join(["%.17g"] * spec.objective.dim) + "]"
+    line = '{"iter": %d, "positions": [' + ",".join([row] * params.n) + '], "best": %s}\n'
+
+    def trace_to(out) -> None:
+        def write(r: TrajectoryRecord) -> None:
+            out.write(line % (r.iteration, *r.positions.ravel().tolist(), _json_value(r.best_value)))
+
+        run_trial(args.algorithm, spec, None, cfg.max_evals, args.seed, params=params, recorder=write)
+
+    if cfg.output is None:
+        trace_to(sys.stdout)  # lines already written stay if the trial fails
+        return 0
+    out = open(cfg.output, "w")
+    try:
+        with out:
+            trace_to(out)
+    except BaseException:
+        Path(cfg.output).unlink()  # no partial trace and no sidecar
+        raise
+    _write_sidecar(cfg)
     return 0
 
 

@@ -1,11 +1,16 @@
+import dataclasses
 import hashlib
 import json
+import math
+import tracemalloc
 
 import pytest
 
-from batbench import __version__
+from batbench import __version__, cli
+from batbench.bat import BatParams
 from batbench.cli import run_cli
-from batbench.benchmarks import registry_names
+from batbench.benchmarks import benchmark_spec, registry_names
+from batbench.harness import run_trial
 
 
 def _sha(path):
@@ -98,6 +103,85 @@ def test_trace_deterministic(tmp_path):
     assert run_cli(args + ["--output", str(f1)]) == 0
     assert run_cli(args + ["--output", str(f2)]) == 0
     assert _sha(f1) == _sha(f2)
+
+
+def _reference_trace_line(record):
+    """A trace line with each value formatted on its own, as `trace` once wrote it."""
+    rows = ",".join(
+        "[" + ",".join(format(float(v), ".17g") for v in row) + "]" for row in record.positions
+    )
+    best = format(record.best_value, ".17g") if math.isfinite(record.best_value) else "null"
+    return '{"iter": %d, "positions": [%s], "best": %s}' % (record.iteration, rows, best)
+
+
+def _trace_args(iters, *extra):
+    return ["trace", "--algorithm", "bat", "--function", "dejong", "--dim", "16",
+            "--pop", "40", "--iters", str(iters), "--seed", "3", *extra]
+
+
+def test_trace_bytes_at_workload_size(tmp_path, capsys):
+    records = []
+    run_trial("bat", benchmark_spec("dejong", 16), None, 40 * 51, 3,
+              params=BatParams(n=40, max_iterations=50), recorder=records.append)
+    expected = [_reference_trace_line(r) + "\n" for r in records]
+    assert len(records) == 50
+
+    def assert_lines(text):
+        lines = text.splitlines(keepends=True)
+        assert len(lines) == len(expected)
+        differing = [k for k, (line, want) in enumerate(zip(lines, expected), 1) if line != want]
+        assert not differing, f"lines {differing[:5]} differ"
+
+    out = tmp_path / "trace.jsonl"
+    assert run_cli(_trace_args(50, "--output", str(out))) == 0
+    assert_lines(out.read_text())
+    capsys.readouterr()
+    assert run_cli(_trace_args(50)) == 0
+    assert_lines(capsys.readouterr().out)
+
+
+def test_trace_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "trace.jsonl"
+    calls, existed = [], []
+
+    def failing_spec(name, dim):
+        spec = benchmark_spec(name, dim)
+        fn = spec.objective.fn
+
+        def flaky(x):
+            calls.append(None)
+            if len(calls) > 40 * 4 + 7:  # initialisation, three sweeps, 7 calls of the fourth
+                existed.append(out.exists())
+                raise RuntimeError("objective failed")
+            return fn(x)
+
+        return dataclasses.replace(spec, objective=dataclasses.replace(spec.objective, fn=flaky))
+
+    monkeypatch.setattr(cli, "benchmark_spec", failing_spec)
+    assert run_cli(_trace_args(10, "--output", str(out))) == 1
+    assert "objective failed" in capsys.readouterr().err
+    assert existed == [True]  # the file was open when the trial failed
+    assert not out.exists()
+    assert not (tmp_path / "trace.jsonl.config.json").exists()
+    # On stdout the three completed sweeps' lines stay, each one whole.
+    calls.clear()
+    assert run_cli(_trace_args(10)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["iter"] for line in lines] == [1, 2, 3]
+
+
+def test_trace_memory_does_not_grow_with_iters(tmp_path):
+    def peak(iters):
+        out = tmp_path / f"trace{iters}.jsonl"
+        tracemalloc.start()
+        try:
+            assert run_cli(_trace_args(iters, "--output", str(out))) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(25)  # warm-up: first-call imports and caches
+    assert peak(400) - peak(25) < 1_000_000
 
 
 def test_run_writes_per_trial_rows(tmp_path):
