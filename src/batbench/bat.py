@@ -74,8 +74,8 @@ class BatParams:
         if not 0.0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
         a_lo, a_hi = self.loudness_range
-        if not (0.0 < a_lo <= a_hi):
-            raise ValueError("loudness_range must have a positive lower end")
+        if not 0.0 < a_lo <= a_hi < math.inf:
+            raise ValueError("loudness_range must be positive and finite")
         r_lo, r_hi = self.pulse_range
         if not (0.0 <= r_lo <= r_hi <= 1.0):
             raise ValueError("pulse_range must lie within [0, 1]")

@@ -1,8 +1,6 @@
 """Benchmark function registry: continuous box-constrained test problems.
 
-Each entry carries its standard domain and known-optimum metadata.  The
-``citation`` tag distinguishes printed-variant formulas ("paper-eq") from
-standard literature definitions ("standard-literature").
+Each entry carries its standard domain and known-optimum metadata.
 
 A formula marked ``scores_rows`` is written once over the last axis: it
 scores one point of shape (d,) or an (m, d) block of rows, and row i's
@@ -154,11 +152,10 @@ _SHUBERT_ARGMIN = np.array([-1.425128429776018, -0.8003211022876466])
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """Registry entry: the objective plus its provenance tag."""
+    """Registry entry: the canonical name and its objective."""
 
     name: str
     objective: Objective
-    citation: str  # "paper-eq" | "standard-literature"
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,6 @@ class _Definition:
     fn: Callable[[Vector], float]
     lo: float
     hi: float
-    citation: str
     fixed_dim: Optional[int] = None  # None: any dim >= min_dim
     min_dim: int = 1
     # argmin(dim) -> vector or None when unknown for that dim
@@ -185,52 +181,28 @@ def _ones(dim: int) -> np.ndarray:
 
 _REGISTRY: dict[str, _Definition] = {
     "rosenbrock_paper": _Definition(
-        rosenbrock_paper, -2.048, 2.048, citation="paper-eq",
-        min_dim=2, argmin=_ones, min_value=0.0,
+        rosenbrock_paper, -2.048, 2.048, min_dim=2, argmin=_ones, min_value=0.0
     ),
     "rosenbrock_classic": _Definition(
-        rosenbrock_classic, -2.048, 2.048, citation="standard-literature",
-        min_dim=2, argmin=_ones, min_value=0.0,
+        rosenbrock_classic, -2.048, 2.048, min_dim=2, argmin=_ones, min_value=0.0
     ),
     "eggcrate": _Definition(
-        eggcrate, -2.0 * np.pi, 2.0 * np.pi, citation="paper-eq",
-        fixed_dim=2, argmin=_origin, min_value=0.0,
+        eggcrate, -2.0 * np.pi, 2.0 * np.pi, fixed_dim=2, argmin=_origin, min_value=0.0
     ),
-    "dejong_sphere": _Definition(
-        dejong_sphere, -10.0, 10.0, citation="paper-eq",
-        argmin=_origin, min_value=0.0,
-    ),
-    "ackley": _Definition(
-        ackley, -30.0, 30.0, citation="paper-eq",
-        argmin=_origin, min_value=0.0,
-    ),
-    "michalewicz": _Definition(
-        michalewicz, 0.0, np.pi, citation="paper-eq",
-        argmin=lambda dim: _MICHALEWICZ_ARGMIN.get(dim),
-    ),
-    "rastrigin": _Definition(
-        rastrigin, -5.12, 5.12, citation="standard-literature",
-        argmin=_origin, min_value=0.0,
-    ),
-    "griewank": _Definition(
-        griewank, -600.0, 600.0, citation="standard-literature",
-        argmin=_origin, min_value=0.0,
-    ),
+    "dejong_sphere": _Definition(dejong_sphere, -10.0, 10.0, argmin=_origin, min_value=0.0),
+    "ackley": _Definition(ackley, -30.0, 30.0, argmin=_origin, min_value=0.0),
+    "michalewicz": _Definition(michalewicz, 0.0, np.pi, argmin=lambda dim: _MICHALEWICZ_ARGMIN.get(dim)),
+    "rastrigin": _Definition(rastrigin, -5.12, 5.12, argmin=_origin, min_value=0.0),
+    "griewank": _Definition(griewank, -600.0, 600.0, argmin=_origin, min_value=0.0),
     "easom": _Definition(
-        easom, -100.0, 100.0, citation="standard-literature",
-        fixed_dim=2, argmin=lambda dim: np.array([np.pi, np.pi]), min_value=-1.0,
+        easom, -100.0, 100.0, fixed_dim=2, argmin=lambda dim: np.array([np.pi, np.pi]), min_value=-1.0
     ),
     "schwefel": _Definition(
-        schwefel, -500.0, 500.0, citation="standard-literature",
-        argmin=lambda dim: np.full(dim, _SCHWEFEL_COORD_ARGMIN),
+        schwefel, -500.0, 500.0, argmin=lambda dim: np.full(dim, _SCHWEFEL_COORD_ARGMIN)
     ),
-    "shubert": _Definition(
-        shubert, -10.0, 10.0, citation="standard-literature",
-        fixed_dim=2, argmin=lambda dim: _SHUBERT_ARGMIN.copy(),
-    ),
+    "shubert": _Definition(shubert, -10.0, 10.0, fixed_dim=2, argmin=lambda dim: _SHUBERT_ARGMIN.copy()),
     "multiple_peaks": _Definition(
-        multiple_peaks, -5.0, 5.0, citation="standard-literature",
-        fixed_dim=2, argmin=lambda dim: np.array([3.0, 3.0]), min_value=-2.0,
+        multiple_peaks, -5.0, 5.0, fixed_dim=2, argmin=lambda dim: np.array([3.0, 3.0]), min_value=-2.0
     ),
 }
 
@@ -285,7 +257,7 @@ def benchmark_spec(name: str, dim: Optional[int] = None) -> BenchmarkSpec:
         known_min=known_min,
         known_argmin=argmin,
     )
-    return BenchmarkSpec(canonical, objective, d.citation)
+    return BenchmarkSpec(canonical, objective)
 
 
 def evaluate_benchmark(name: str, x: Vector) -> float:

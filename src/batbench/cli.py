@@ -16,13 +16,12 @@ function/algorithm.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -43,42 +42,12 @@ from .harness import (
     summarize,
 )
 
-__all__ = ["RunConfig", "run_cli", "main"]
+__all__ = ["run_cli", "main"]
 
 
 def _fmt(x: float) -> str:
     """17 significant digits: lossless float64 round trip."""
     return format(float(x), ".17g")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation, embedded in every output for reproducibility."""
-
-    subcommand: str
-    algorithms: tuple[str, ...]
-    functions: tuple[str, ...]
-    dim: Optional[int]
-    trials: int
-    tolerance: Optional[float]
-    max_evals: Optional[int]
-    population: int
-    overrides: dict = field(default_factory=dict)
-    master_seed: int = 0
-    output: Optional[str] = None
-    output_format: str = "csv"
-    iters: Optional[int] = None
-    workers: int = 1
-
-    def to_json(self) -> str:
-        payload = dataclasses.asdict(self)
-        del payload["output"]
-        payload |= {
-            "rng": RandomStream.algorithm,
-            "tool_version": __version__,
-            "statistics": "mean/std over successful trials only; success_rate over all trials",
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 # Every algorithm's parameter flags but --iters, which only trace takes.
@@ -89,16 +58,29 @@ def _overrides_from(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in _OVERRIDE_FLAGS if getattr(args, k, None) is not None}
 
 
-def _build_params(cfg: RunConfig) -> dict:
+def _config(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> str:
+    """The resolved invocation as sorted JSON, embedded in every output for
+    reproducibility."""
+    return json.dumps({
+        "subcommand": args.subcommand, "algorithms": algorithms, "functions": functions,
+        "dim": args.dim, "trials": args.trials, "tolerance": args.tolerance,
+        "max_evals": args.max_evals, "population": args.pop, "overrides": _overrides_from(args),
+        "master_seed": args.seed, "output_format": args.format, "iters": args.iters,
+        "workers": args.workers, "rng": RandomStream.algorithm, "tool_version": __version__,
+        "statistics": "mean/std over successful trials only; success_rate over all trials",
+    }, sort_keys=True)
+
+
+def _build_params(args: argparse.Namespace, algorithms: tuple) -> dict:
     """Each algorithm's params: its class defaults with the population, the
     iteration cap and the override flags it maps; invariants validated here."""
     by_algorithm = {}
-    for name in cfg.algorithms:
+    for name in algorithms:
         params_cls, _, fields = ALGORITHMS[name]
-        params = params_cls(n=cfg.population)  # validated before the budget is divided by it
+        params = params_cls(n=args.pop)  # validated before the budget is divided by it
         # Without --iters, let the evaluation budget bind first.
-        iters = cfg.iters if cfg.iters is not None else max(1, cfg.max_evals // params.n + 1)
-        flags = {**cfg.overrides, "iters": iters}
+        iters = args.iters if args.iters is not None else max(1, args.max_evals // params.n + 1)
+        flags = {**_overrides_from(args), "iters": iters}
         mapped = {fields[flag]: value for flag, value in flags.items() if flag in fields}
         by_algorithm[name] = dataclasses.replace(params, **mapped)
     return by_algorithm
@@ -120,35 +102,39 @@ def _json_value(value) -> str:
     return json.dumps(value)
 
 
-def _emit(cfg: RunConfig, records: list[dict]) -> None:
+@contextlib.contextmanager
+def _output(args: argparse.Namespace, config: str):
+    """Yield stdout or the --output file.  If the body raises, the file is
+    deleted and no sidecar is written (lines already on stdout stay); a
+    finished JSONL file gets a <file>.config.json sidecar."""
+    if args.output is None:
+        yield sys.stdout
+        return
+    out = open(args.output, "w")
+    try:
+        with out:
+            yield out
+    except BaseException:
+        Path(args.output).unlink()
+        raise
+    if args.format == "jsonl":
+        Path(args.output + ".config.json").write_text(config + "\n")
+
+
+def _emit(args: argparse.Namespace, config: str, records: list[dict]) -> None:
     """Write (key, value) records as a commented CSV table or as JSONL with
     a config sidecar; floats keep 17 significant digits in both."""
-    if cfg.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(records[0]))
-        writer.writerows([_csv_cell(v) for v in record.values()] for record in records)
-        header = f"# batbench {__version__}\n# config {cfg.to_json()}\n"
-        _write_output(cfg, header + buf.getvalue(), sidecar=False)
-    else:
-        lines = [
-            "{" + ", ".join(f'"{k}": {_json_value(v)}' for k, v in record.items()) + "}"
-            for record in records
-        ]
-        _write_output(cfg, "\n".join(lines) + "\n", sidecar=True)
-
-
-def _write_output(cfg: RunConfig, body: str, sidecar: bool) -> None:
-    if cfg.output is None:
-        sys.stdout.write(body)
-        return
-    Path(cfg.output).write_text(body)
-    if sidecar:
-        _write_sidecar(cfg)
-
-
-def _write_sidecar(cfg: RunConfig) -> None:
-    Path(cfg.output + ".config.json").write_text(cfg.to_json() + "\n")
+    with _output(args, config) as out:
+        if args.format == "csv":
+            out.write(f"# batbench {__version__}\n# config {config}\n")
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(list(records[0]))
+            writer.writerows([_csv_cell(v) for v in record.values()] for record in records)
+        else:
+            out.writelines(
+                "{" + ", ".join(f'"{k}": {_json_value(v)}' for k, v in record.items()) + "}\n"
+                for record in records
+            )
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
@@ -157,37 +143,17 @@ def _cmd_list(_: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_config(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        algorithms=algorithms,
-        functions=functions,
-        dim=args.dim,
-        trials=args.trials,
-        tolerance=args.tolerance,
-        max_evals=args.max_evals,
-        population=args.pop,
-        overrides=_overrides_from(args),
-        master_seed=args.seed,
-        output=args.output,
-        output_format=args.format,
-        iters=args.iters,
-        workers=args.workers,
-    )
-
-
-def _campaign(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> tuple[RunConfig, list]:
+def _campaign(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> tuple[str, list]:
     """The resolved config and, per function, every algorithm's trials.
 
     Names are looked up first, then the specs and then the params are
     built, so errors are reported in that order before any trial runs.
     """
-    cfg = _campaign_config(args, algorithms, functions)
     for algorithm in algorithms:
         lookup_algorithm(algorithm)
     specs = [benchmark_spec(name, args.dim) for name in functions]
-    params_by_algorithm = _build_params(cfg)
-    return cfg, [
+    params_by_algorithm = _build_params(args, algorithms)
+    return _config(args, algorithms, functions), [
         experiment_trials(
             algorithms,
             spec,
@@ -203,8 +169,8 @@ def _campaign(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> 
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg, [by_algorithm] = _campaign(args, (args.algorithm,), (args.function,))
-    _emit(cfg, [
+    config, [by_algorithm] = _campaign(args, (args.algorithm,), (args.function,))
+    _emit(args, config, [
         {
             "function": r.function, "dim": r.dim, "algorithm": r.algorithm, "trial": k,
             "seed": r.seed, "evaluations_used": r.evaluations_used, "success": r.success,
@@ -220,7 +186,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     functions = tuple(s.strip() for s in args.functions.split(",") if s.strip())
     if not algorithms or not functions:
         raise ValueError("need at least one algorithm and one function")
-    cfg, campaigns = _campaign(args, algorithms, functions)
+    config, campaigns = _campaign(args, algorithms, functions)
 
     records = []
     for by_algorithm in campaigns:
@@ -233,40 +199,27 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 "std_evals": summary.std_evals, "success_rate": summary.success_rate,
                 "master_seed": args.seed, "tool_version": __version__,
             })
-    _emit(cfg, records)
+    _emit(args, config, records)
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     # The budget of exactly --iters sweeps after initialisation.
     args.max_evals = args.pop * (args.iters + 1)
-    cfg = _campaign_config(args, (args.algorithm,), (args.function,))
     lookup_algorithm(args.algorithm)
     if args.iters < 1:
         raise ValueError("--iters must be >= 1")
     spec = benchmark_spec(args.function, args.dim)
-    params = _build_params(cfg)[args.algorithm]
+    params = _build_params(args, (args.algorithm,))[args.algorithm]
     # One template per trace; "%.17g" is the conversion _fmt makes.
     row = "[" + ",".join(["%.17g"] * spec.objective.dim) + "]"
     line = '{"iter": %d, "positions": [' + ",".join([row] * params.n) + '], "best": %s}\n'
 
-    def trace_to(out) -> None:
+    with _output(args, _config(args, (args.algorithm,), (args.function,))) as out:
         def write(r: TrajectoryRecord) -> None:
             out.write(line % (r.iteration, *r.positions.ravel().tolist(), _json_value(r.best_value)))
 
-        run_trial(args.algorithm, spec, None, cfg.max_evals, args.seed, params=params, recorder=write)
-
-    if cfg.output is None:
-        trace_to(sys.stdout)  # lines already written stay if the trial fails
-        return 0
-    out = open(cfg.output, "w")
-    try:
-        with out:
-            trace_to(out)
-    except BaseException:
-        Path(cfg.output).unlink()  # no partial trace and no sidecar
-        raise
-    _write_sidecar(cfg)
+        run_trial(args.algorithm, spec, None, args.max_evals, args.seed, params=params, recorder=write)
     return 0
 
 

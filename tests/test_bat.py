@@ -71,8 +71,10 @@ def test_params_validation():
         BatParams(gamma=0.0)
     with pytest.raises(ValueError):
         BatParams(pulse_range=(0.0, 1.5))
-    with pytest.raises(ValueError):
-        BatParams(loudness_range=(0.0, 1.0))
+    # An infinite mean loudness would send every local walk to a box corner.
+    for loudness_range in [(0.0, 1.0), (1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)]:
+        with pytest.raises(ValueError):
+            BatParams(loudness_range=loudness_range)
 
 
 def test_init_bats_counting_and_best():

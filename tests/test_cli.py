@@ -184,6 +184,21 @@ def test_trace_memory_does_not_grow_with_iters(tmp_path):
     assert peak(400) - peak(25) < 1_000_000
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--algorithm", "bat", "--function", "dejong", "--trials", "1", "--max-evals", "100",
+     "--format", "jsonl"],
+    ["compare", "--functions", "dejong", "--algorithms", "pso", "--trials", "1", "--max-evals", "100",
+     "--format", "jsonl"],
+    ["trace", "--algorithm", "bat", "--function", "dejong", "--pop", "5", "--iters", "2"],
+])
+def test_unopenable_output_exit_1_no_file(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.jsonl"
+    assert run_cli(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("batbench: error:")
+    assert not out.exists()
+    assert not (tmp_path / "missing" / "x.jsonl.config.json").exists()
+
+
 def test_run_writes_per_trial_rows(tmp_path):
     out = tmp_path / "run.csv"
     code = run_cli([
