@@ -98,7 +98,6 @@ class BatState:
     initial_loudness: np.ndarray
     pulse_rates: np.ndarray
     initial_pulse_rates: np.ndarray
-    values: np.ndarray  # objective at each position, cached for ranking
     acceptance_logs: list[list[int]]
     best_position: Vector
     best_value: float
@@ -136,7 +135,6 @@ def init_bats(
         loudness.copy(),
         pulse_rates,
         pulse_rates.copy(),
-        values,
         [[] for _ in range(n)],
         positions[best].copy(),
         float(values[best]),
@@ -182,7 +180,6 @@ def accept(state: BatState, i: int, candidate: Vector, value: float, params: Bat
     acceptance is bat_step's.
     """
     state.positions[i] = candidate
-    state.values[i] = value
     log = state.acceptance_logs[i]
     log.append(state.iteration)
     state.loudness[i] = state.initial_loudness[i] * params.alpha ** len(log)

@@ -230,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, trials_default: int = 100):
-        p.add_argument("--trials", type=int, default=trials_default)
+    def common(p: argparse.ArgumentParser):
+        p.add_argument("--trials", type=int, default=100)
         p.add_argument("--tolerance", type=float, default=1e-5)
         p.add_argument("--max-evals", dest="max_evals", type=int, default=10_000)
         p.add_argument("--pop", type=int, default=40)

@@ -119,8 +119,7 @@ class RandomStream:
     algorithm = "numpy.random.PCG64"
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._gen = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
 
     def uniform(self) -> float:
         """One draw from [0, 1)."""

@@ -111,7 +111,6 @@ def test_criterion_2_schedule_closed_forms():
         initial_loudness=np.array([a0]),
         pulse_rates=np.array([r0]),
         initial_pulse_rates=np.array([r0]),
-        values=np.array([math.inf]),
         acceptance_logs=[[]],
         best_position=np.array([5.0]),
         best_value=1e9,

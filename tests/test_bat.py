@@ -49,7 +49,6 @@ def _state(positions, best_position, best_value, loudness, pulse=None, iteration
         initial_loudness=loudness.copy(),
         pulse_rates=pulse,
         initial_pulse_rates=pulse.copy(),
-        values=np.full(n, math.inf),
         acceptance_logs=[[] for _ in range(n)],
         best_position=np.asarray(best_position, dtype=float),
         best_value=best_value,
@@ -81,7 +80,7 @@ def test_init_bats_counting_and_best():
     params = BatParams(n=25)
     budget = EvalBudget(10_000)
     state = init_bats(params, SPHERE2, RandomStream(3), budget)
-    assert len(state.values) == 25
+    assert state.positions.shape == (25, 2)
     assert budget.used == 25
     values = [SPHERE2(x) for x in state.positions]
     assert state.best_value == min(values)
@@ -378,15 +377,15 @@ def test_bat_step_cut_sweep_uses_remaining_budget_and_leaves_moves():
 
 @pytest.mark.parametrize("function", ["dejong_sphere", "rastrigin", "ackley"])
 def test_bat_step_best_is_lowest_bat(function):
-    # A bat's value changes only on acceptance, and acceptance sets the
-    # swarm best to that value, so the best never needs a re-rank.
+    # A bat moves only on acceptance, and acceptance sets the swarm best to
+    # its new position's value, so the best is always the lowest bat.
     obj = benchmark_spec(function, 2).objective
     params = BatParams(n=10)
     for seed in range(5):
         state = init_bats(params, obj, RandomStream(seed), EvalBudget(10 * 101))
         for _ in range(100):
             bat_step(state, params, obj)
-            assert state.best_value == min(state.values.tolist())
+            assert state.best_value == min(obj(p) for p in state.positions)
 
 
 @pytest.mark.parametrize(

@@ -86,8 +86,8 @@ def test_objective_call_takes_a_list():
 
 
 def test_aliases_resolve_to_sphere():
-    assert benchmark_spec("sphere", 4).name == "dejong_sphere"
-    assert benchmark_spec("dejong", 4).name == "dejong_sphere"
+    assert benchmark_spec("sphere", 4).objective.name == "dejong_sphere"
+    assert benchmark_spec("dejong", 4).objective.name == "dejong_sphere"
 
 
 def test_registry_known_minima_consistent():
