@@ -9,8 +9,9 @@ the loudness geometrically and raises the pulse rate toward its initial
 ceiling.
 
 The swarm is stored as a struct of arrays, and a sweep computes every
-bat's move at once; only the evaluations and acceptance tests run bat by
-bat, because an acceptance moves the best that later moves aim at.
+bat's move at once and scores the candidates as rows; only the acceptance
+tests run bat by bat, because an acceptance moves the best that later
+moves aim at.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .core import (
     RandomStream,
     Vector,
     clamp_to_bounds,
-    counted_evaluate,
     counted_evaluate_rows,
+    counted_values,
 )
 from .results import Recorder, Sweeps, TrialResult, drive_trial
 
@@ -208,12 +209,13 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
     """One iteration: each bat proposes and is tested on one candidate.
 
     Every bat's move is computed at once against the current best; the
-    candidates are then evaluated in order, and an acceptance, which moves
-    the best, recomputes the moves of the bats after it.  The sweep draws
-    its worst case of n(3 + d) uniforms and gives back what it did not use,
-    so the stream ends where bat-by-bat draws would leave it.
+    candidates are scored as rows and tested in order, and an acceptance,
+    which moves the best, recomputes and rescores the bats after it.  Only
+    the values tested are charged.  The sweep draws its worst case of
+    n(3 + d) uniforms and gives back what it did not use, so the stream
+    ends where bat-by-bat draws would leave it.
 
-    Evaluates the first min(n, budget.remaining) candidates.  A sweep the
+    Charges the first min(n, budget.remaining) candidates.  A sweep the
     budget cuts short is no iteration: it keeps its acceptances and leaves
     the iteration counter, velocities and frequencies as they were; the
     stream's position after it is not specified.
@@ -244,11 +246,13 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
 
     velocities, candidates, frequencies = moves(0)
     evaluated = min(n, state.budget.remaining)
+    values = counted_values(obj, candidates, state.budget)
     for i in range(evaluated):
-        value = counted_evaluate(obj, candidates[i], state.budget)
+        value = next(values)
         if accept_draws[i] < loudness[i] and value < state.best_value:
             accept(state, i, candidates[i], value, params)
             velocities[i + 1 :], candidates[i + 1 :], _ = moves(i + 1)
+            values = counted_values(obj, candidates[i + 1 :], state.budget)
     if evaluated < n:
         return state
     state.velocities[:] = velocities

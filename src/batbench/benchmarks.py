@@ -2,9 +2,12 @@
 
 Each entry carries its standard domain and known-optimum metadata.
 
-A formula marked ``scores_rows`` is written once over the last axis: it
-scores one point of shape (d,) or an (m, d) block of rows, and row i's
-value equals the one-point call on row i bit for bit.
+Every formula is marked ``scores_rows`` and written once over the last
+axis: it scores one point of shape (d,) or an (m, d) block of rows, and
+row i's value equals the one-point call on row i bit for bit.  Eggcrate
+and Easom square through ``np.float_power(x, 2.0)``, which calls the C
+library's pow per element as their frozen point forms do; ``x**2`` would
+square by x*x and differ in the last bit for about one value in 2,000.
 """
 
 from __future__ import annotations
@@ -52,15 +55,11 @@ def rosenbrock_classic(x: np.ndarray) -> Values:
     return np.add.reduce((1.0 - lead) ** 2 + 100.0 * (x[..., 1:] - lead**2) ** 2, axis=-1)
 
 
-# Eggcrate and Easom square scalars through the C library's pow, from which an
-# array's x*x or x**2 differs in the last bit for about one value in 2,000.
-# Over rows, np.float_power(x, 2.0) calls that same pow and matches bit for bit,
-# but at one point it costs over three times the point form, and the bat still
-# scores one candidate per call.  So these two are point-only, not scores_rows.
-def eggcrate(x: Vector) -> float:
+@scores_rows
+def eggcrate(x: np.ndarray) -> Values:
     """2-D eggcrate: x^2 + y^2 + 25 (sin^2 x + sin^2 y)."""
-    a, b = float(x[0]), float(x[1])
-    return a * a + b * b + 25.0 * (np.sin(a) ** 2 + np.sin(b) ** 2)
+    a, b = x[..., 0], x[..., 1]
+    return a * a + b * b + 25.0 * (np.float_power(np.sin(a), 2.0) + np.float_power(np.sin(b), 2.0))
 
 
 @scores_rows
@@ -101,9 +100,10 @@ def griewank(x: np.ndarray) -> Values:
     )
 
 
-def easom(x: Vector) -> float:
-    a, b = float(x[0]), float(x[1])
-    return float(-np.cos(a) * np.cos(b) * np.exp(-((a - np.pi) ** 2 + (b - np.pi) ** 2)))
+@scores_rows
+def easom(x: np.ndarray) -> Values:
+    a, b = x[..., 0], x[..., 1]
+    return -np.cos(a) * np.cos(b) * np.exp(-(np.float_power(a - np.pi, 2.0) + np.float_power(b - np.pi, 2.0)))
 
 
 @scores_rows
@@ -201,10 +201,11 @@ _REGISTRY: dict[str, _Definition] = {
 _ALIASES = {"sphere": "dejong_sphere", "dejong": "dejong_sphere"}
 
 
-def _resolve(name: str) -> _Definition:
+def _resolve(name: str) -> tuple[str, _Definition]:
+    """The canonical name for `name` and its definition."""
     key = _ALIASES.get(name, name)
     try:
-        return _REGISTRY[key]
+        return key, _REGISTRY[key]
     except KeyError:
         raise UnknownBenchmarkError(name) from None
 
@@ -214,7 +215,7 @@ def registry_names() -> list[str]:
 
 
 def dim_constraint(name: str) -> str:
-    d = _resolve(name)
+    _, d = _resolve(name)
     if d.fixed_dim is not None:
         return f"d={d.fixed_dim}"
     return f"d>={d.min_dim}"
@@ -226,7 +227,7 @@ def benchmark_spec(name: str, dim: Optional[int] = None) -> BenchmarkSpec:
     Raises UnknownBenchmarkError for unregistered names and ValueError for
     dimensions the function does not support.
     """
-    d = _resolve(name)
+    key, d = _resolve(name)
     if dim is None:
         dim = 2
     if d.fixed_dim is not None and dim != d.fixed_dim:
@@ -241,7 +242,7 @@ def benchmark_spec(name: str, dim: Optional[int] = None) -> BenchmarkSpec:
     else:
         known_min = float(d.fn(argmin))
     objective = Objective(
-        name=_ALIASES.get(name, name),
+        name=key,
         dim=dim,
         bounds=Bounds.cube(d.lo, d.hi, dim),
         fn=d.fn,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "clamp_to_bounds",
     "counted_evaluate",
     "counted_evaluate_rows",
+    "counted_values",
     "scores_rows",
     "derive_seed",
 ]
@@ -216,18 +217,27 @@ def scores_rows(fn: Callable) -> Callable:
     return fn
 
 
-def counted_evaluate_rows(obj: Objective, xs: np.ndarray, budget: EvalBudget) -> np.ndarray:
-    """Evaluate the first k = min(m, budget.remaining) rows of xs in order,
-    charging one unit per row; returns their k values.
+def counted_values(obj: Objective, xs: np.ndarray, budget: EvalBudget) -> Iterator[float]:
+    """Yield the values of the first k = min(m, budget.remaining) rows of xs
+    in order, charging one unit as each value is taken.
 
-    A function marked :func:`scores_rows` scores the k rows in one call; any
-    other is called once per row through :func:`counted_evaluate`.  Either
-    way the values and the charge equal k point evaluations, and a
-    non-finite value is returned as ``inf``.
+    A function marked :func:`scores_rows` scores the k rows in one call at
+    the first value taken, and rows whose values are never taken are not
+    charged; any other is called once per taken value through
+    :func:`counted_evaluate`.  Either way a non-finite value is yielded as
+    ``inf``.
     """
     k = min(len(xs), budget.remaining)
     if not getattr(obj.fn, "scores_rows", False):
-        return np.array([counted_evaluate(obj, x, budget) for x in xs[:k]], dtype=float)
+        for x in xs[:k]:
+            yield counted_evaluate(obj, x, budget)
+        return
     values = obj.fn(xs[:k])
-    budget.used += k
-    return np.where(np.isfinite(values), values, math.inf)
+    for value in np.where(np.isfinite(values), values, math.inf).tolist():
+        budget.used += 1
+        yield value
+
+
+def counted_evaluate_rows(obj: Objective, xs: np.ndarray, budget: EvalBudget) -> np.ndarray:
+    """The k values of :func:`counted_values`, all taken and charged."""
+    return np.fromiter(counted_values(obj, xs, budget), float)

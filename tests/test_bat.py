@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from batbench.bat import (
     run_bat,
 )
 from batbench.benchmarks import benchmark_spec
-from batbench.core import BudgetExceededError, Bounds, EvalBudget, Objective, RandomStream
+from batbench.core import BudgetExceededError, Bounds, EvalBudget, Objective, RandomStream, scores_rows
 from oracles import CallCounter, reference_bat
 
 WIDE = Bounds.cube(-1e6, 1e6, 1)
@@ -272,6 +273,29 @@ def test_run_accounting_and_bounds_sweep():
         assert ((rec.positions >= -10.0) & (rec.positions <= 10.0)).all()
     best_values = [rec.best_value for rec in records]
     assert best_values == sorted(best_values, reverse=True)
+
+
+def test_marked_objective_gives_the_unmarked_trial_and_charges_only_used_values():
+    # A marked fn scores a sweep's candidates as rows, and an acceptance drops
+    # the rows after it; an unmarked fn is called once per charged value.  The
+    # budget ends inside a sweep.
+    rastrigin = benchmark_spec("rastrigin", 4).objective
+    rows_per_call = []
+
+    @scores_rows
+    def marked(xs):
+        rows_per_call.append(len(np.atleast_2d(xs)))
+        return rastrigin.fn(xs)
+
+    counter = CallCounter(rastrigin.fn)
+    params = BatParams(n=20)
+    limit = 20 + 20 * 30 + 7
+    rows = run_bat(params, dataclasses.replace(rastrigin, fn=marked), 5, EvalBudget(limit))
+    points = run_bat(params, dataclasses.replace(rastrigin, fn=counter), 5, EvalBudget(limit))
+    assert rows == points
+    assert counter.calls == points.evaluations_used == limit
+    assert sum(rows_per_call) >= rows.evaluations_used
+    assert len(rows_per_call) < rows.evaluations_used / 2
 
 
 def _final_swarm(params, seed, budget):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from batbench.core import (
     clamp_to_bounds,
     counted_evaluate,
     counted_evaluate_rows,
+    counted_values,
     derive_seed,
     scores_rows,
 )
@@ -193,8 +195,9 @@ def test_non_finite_values_are_returned_as_inf_and_charged(bad):
     used=st.integers(0, 100),
     path=st.sampled_from(["rows", "counted rows", "wrapped"]),
     seed=st.integers(0, 2**32 - 1),
+    taken=st.integers(0, 41),
 )
-def test_counted_evaluate_rows_charges_min_of_rows_and_remaining(m, max_evaluations, used, path, seed):
+def test_counted_evaluate_rows_charges_min_of_rows_and_remaining(m, max_evaluations, used, path, seed, taken):
     used = min(used, max_evaluations)
     rastrigin = benchmark_spec("rastrigin", 3).objective
     counter = CallCounter(rastrigin.fn)
@@ -215,3 +218,14 @@ def test_counted_evaluate_rows_charges_min_of_rows_and_remaining(m, max_evaluati
         assert counter.calls == k
     elif path == "counted rows" and k:
         assert counter.calls == 1
+    # Taking only the first j values charges j units.
+    j = min(taken, k)
+    budget = EvalBudget(max_evaluations, used=used)
+    counter.calls = 0
+    prefix = list(itertools.islice(counted_values(obj, xs, budget), j))
+    assert budget.used == used + j
+    assert prefix == values.tolist()[:j]
+    if path == "wrapped":
+        assert counter.calls == j
+    elif path == "counted rows":
+        assert counter.calls == (j > 0)
