@@ -5,15 +5,19 @@ Every case runs ``python -m batbench.cli`` from this checkout's ``src/`` in
 a fresh process whose working directory is the case directory, so an
 ``--output`` file and its ``.config.json`` sidecar land beside the
 captured ``stdout``, ``stderr`` and ``exit_code``.  Two checkouts that
-produce the same CLI bytes produce identical trees, so
+produce the same CLI bytes produce identical trees.  Copying the new
+checkout's script into the old one runs the same case list against both:
 
-    python scripts/golden_outputs.py /tmp/before   # in the old checkout
-    python scripts/golden_outputs.py /tmp/after    # in the new checkout
+    git archive OLD | tar -x -C /tmp/old
+    cp scripts/golden_outputs.py /tmp/old/scripts/
+    python /tmp/old/scripts/golden_outputs.py /tmp/before
+    python scripts/golden_outputs.py /tmp/after
     diff -r /tmp/before /tmp/after
 
 is a byte-identity check of the whole CLI surface: run, compare, trace,
 list-functions and --help; CSV and JSONL; stdout and files; errors and
-exit codes.
+exit codes.  A case that needs a flag the old checkout lacks shows up as
+a difference.
 
 Usage: python scripts/golden_outputs.py OUTDIR
 """
@@ -81,7 +85,25 @@ def _cases() -> dict[str, list[str]]:
             "--c2", "1.0", "--inertia", "0.7", "--pc", "0.5",
             *OVERRIDES["bat"], *OVERRIDES["pso"], *OVERRIDES["ga"], "--format", fmt,
         ]
+    # perfbench's trace size, and a compare where eggcrate and Easom score
+    # rows and most trials stop on the tolerance.
+    for name, args, out in (
+        ("trace-bat-dejong16", ["trace", "--algorithm", "bat", "--function", "dejong", "--dim", "16",
+                                "--pop", "40", "--iters", "400", "--seed", "0"], "trace.jsonl"),
+        ("compare-eggcrate-easom", ["compare", "--functions", "eggcrate,easom", "--algorithms",
+                                    "bat,pso,ga", "--trials", "4", "--tolerance", "1e-3", "--seed",
+                                    "0", "--format", "jsonl"], "compare.jsonl"),
+    ):
+        cases[f"{name}-stdout"] = args
+        cases[f"{name}-file"] = args + ["--output", out]
     errors = {
+        # exit 1: an output file that cannot be opened
+        "err1-run": ["run", "--algorithm", "bat", "--function", "dejong", "--trials", "1",
+                     "--max-evals", "100", "--format", "jsonl", "--output", "missing/x.jsonl"],
+        "err1-compare": ["compare", "--functions", "dejong", "--algorithms", "pso", "--trials", "1",
+                         "--max-evals", "100", "--format", "jsonl", "--output", "missing/x.jsonl"],
+        "err1-trace": ["trace", "--algorithm", "bat", "--function", "dejong", "--pop", "5",
+                       "--iters", "2", "--output", "missing/x.jsonl"],
         # exit 2: invalid configuration or flags
         "err2-alpha": ["run", "--algorithm", "bat", "--function", "dejong", "--alpha", "1.5",
                        "--output", "never.csv"],

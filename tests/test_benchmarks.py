@@ -214,3 +214,26 @@ def test_formulas_equal_their_frozen_point_forms_bit_for_bit(name, data):
     assert points.tobytes() == frozen.tobytes()
     if getattr(objective.fn, "scores_rows", False):
         assert objective.fn(xs).tobytes() == frozen.tobytes()
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_formulas_equal_their_frozen_point_forms_on_fixed_points(name):
+    # 20,000 seeded points at the fixed dim, else d=16: half uniform in the
+    # box, half at scales 1 and 10 around the argmin (the box centre where
+    # none is known), clamped to the box.  Uniform points alone miss a
+    # last-bit change in Easom, whose exp underflows away from its well.
+    constraint = dim_constraint(name)
+    d = int(constraint[2:]) if constraint.startswith("d=") else 16
+    objective = benchmark_spec(name, d).objective
+    b = objective.bounds
+    centre = objective.known_argmin
+    if centre is None:
+        centre = (b.lower + b.upper) / 2
+    rng = np.random.default_rng(0)
+    uniform = b.lower + rng.random((10_000, d)) * b.width
+    scale = np.repeat([1.0, 10.0], 5_000)[:, None]
+    near = np.clip(centre + scale * rng.standard_normal((10_000, d)), b.lower, b.upper)
+    xs = np.concatenate([uniform, near])
+    frozen = np.array([FROZEN_FORMULAS[name](x) for x in xs])
+    assert objective.fn(xs).tobytes() == frozen.tobytes()
+    assert np.array([objective.fn(x) for x in xs]).tobytes() == frozen.tobytes()
