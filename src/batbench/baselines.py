@@ -2,8 +2,8 @@
 
 Both count every objective call against the shared budget (initialization
 included) and report their best after each sweep; the trial driver, not
-the optimizer, stops the trial at tolerance / budget / iteration limits
-and feeds the same trajectory-sink contract as the bat optimizer.
+the optimizer, stops the trial at the tolerance or when the budget is
+spent, and feeds the same trajectory-sink contract as the bat optimizer.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class PsoParams:
     c1: float = 2.0
     c2: float = 2.0
     inertia: float = 1.0
-    max_iterations: int = 10_000
 
     def __post_init__(self):
         if self.n < 2:
@@ -58,8 +57,6 @@ class PsoParams:
             raise ValueError("learning parameters must be non-negative and finite")
         if not math.isfinite(self.inertia):
             raise ValueError("inertia must be finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,6 @@ class GaParams:
     n: int = 40
     p_mutation: float = 0.05
     p_crossover: float = 0.95
-    max_generations: int = 10_000
 
     def __post_init__(self):
         if self.n < 2:
@@ -78,8 +74,6 @@ class GaParams:
             raise ValueError("p_mutation must lie in [0, 1]")
         if not 0.0 <= self.p_crossover <= 1.0:
             raise ValueError("p_crossover must lie in [0, 1]")
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
 
 
 def _initial_population(bounds: Bounds, n: int, rng: RandomStream) -> np.ndarray:
@@ -131,7 +125,7 @@ def run_pso(
 ) -> TrialResult:
     """Global-best PSO: v <- I v + c1 u1 (pbest - x) + c2 u2 (gbest - x)."""
     return drive_trial(
-        "pso", lambda rng: _pso_sweeps(params, obj, budget, rng), params.n, params.max_iterations,
+        "pso", lambda rng: _pso_sweeps(params, obj, budget, rng), params.n,
         obj, seed, budget, stop_at, recorder,
     )
 
@@ -238,6 +232,6 @@ def run_ga(
     is never reinserted.
     """
     return drive_trial(
-        "ga", lambda rng: _ga_sweeps(params, obj, budget, rng), params.n, params.max_generations,
+        "ga", lambda rng: _ga_sweeps(params, obj, budget, rng), params.n,
         obj, seed, budget, stop_at, recorder,
     )

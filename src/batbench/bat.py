@@ -61,7 +61,6 @@ class BatParams:
     gamma: float = 0.9
     loudness_range: tuple[float, float] = (1.0, 2.0)
     pulse_range: tuple[float, float] = (0.0, 1.0)
-    max_iterations: int = 10_000
 
     def __post_init__(self):
         if self.n < 1:
@@ -80,8 +79,6 @@ class BatParams:
         r_lo, r_hi = self.pulse_range
         if not (0.0 <= r_lo <= r_hi <= 1.0):
             raise ValueError("pulse_range must lie within [0, 1]")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -277,12 +274,13 @@ def run_bat(
     stop_at: Optional[float] = None,
     recorder: Optional[Recorder] = None,
 ) -> TrialResult:
-    """Full trial: init, iterate to tolerance/budget/iteration limit.
+    """Full trial: init, then sweep until the tolerance is met or the budget
+    is spent.
 
     When a recorder is supplied it receives one TrajectoryRecord per
     completed iteration (all n positions plus the running best value).
     """
     return drive_trial(
-        "bat", lambda rng: _sweeps(params, obj, budget, rng), params.n, params.max_iterations,
+        "bat", lambda rng: _sweeps(params, obj, budget, rng), params.n,
         obj, seed, budget, stop_at, recorder,
     )

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -50,8 +49,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# Every algorithm's parameter flags but --iters, which only trace takes.
-_OVERRIDE_FLAGS = tuple(flag for entry in ALGORITHMS.values() for flag in entry.flags if flag != "iters")
+_OVERRIDE_FLAGS = tuple(flag for entry in ALGORITHMS.values() for flag in entry.flags)
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
@@ -72,17 +70,13 @@ def _config(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> st
 
 
 def _build_params(args: argparse.Namespace, algorithms: tuple) -> dict:
-    """Each algorithm's params: its class defaults with the population, the
-    iteration cap and the override flags it maps; invariants validated here."""
+    """Each algorithm's params: its class defaults with the population and
+    the override flags it maps; invariants validated here."""
     by_algorithm = {}
     for name in algorithms:
         params_cls, _, fields = ALGORITHMS[name]
-        params = params_cls(n=args.pop)  # validated before the budget is divided by it
-        # Without --iters, let the evaluation budget bind first.
-        iters = args.iters if args.iters is not None else max(1, args.max_evals // params.n + 1)
-        flags = {**_overrides_from(args), "iters": iters}
-        mapped = {fields[flag]: value for flag, value in flags.items() if flag in fields}
-        by_algorithm[name] = dataclasses.replace(params, **mapped)
+        mapped = {fields[flag]: value for flag, value in _overrides_from(args).items() if flag in fields}
+        by_algorithm[name] = params_cls(n=args.pop, **mapped)
     return by_algorithm
 
 

@@ -49,17 +49,17 @@ ALGORITHMS = {
     "bat": Algorithm(
         BatParams,
         run_bat,
-        {"alpha": "alpha", "gamma": "gamma", "fmin": "f_min", "fmax": "f_max", "iters": "max_iterations"},
+        {"alpha": "alpha", "gamma": "gamma", "fmin": "f_min", "fmax": "f_max"},
     ),
     "pso": Algorithm(
         PsoParams,
         run_pso,
-        {"c1": "c1", "c2": "c2", "inertia": "inertia", "iters": "max_iterations"},
+        {"c1": "c1", "c2": "c2", "inertia": "inertia"},
     ),
     "ga": Algorithm(
         GaParams,
         run_ga,
-        {"pm": "p_mutation", "pc": "p_crossover", "iters": "max_generations"},
+        {"pm": "p_mutation", "pc": "p_crossover"},
     ),
 }
 

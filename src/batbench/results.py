@@ -63,7 +63,6 @@ def drive_trial(
     algorithm: str,
     sweeps: Callable[[RandomStream], Sweeps],
     n: int,
-    max_iterations: int,
     obj: Objective,
     seed: int,
     budget: EvalBudget,
@@ -76,9 +75,10 @@ def drive_trial(
     ``sweeps(rng)`` starts the algorithm on the trial's stream.  A budget
     below n skips the trial (no evaluation, no best position).  Otherwise
     the loop stops once the best is within ``stop_at`` of the known
-    minimum, after ``max_iterations`` sweeps, when the budget is spent, or
-    after a sweep that charged fewer than n evaluations; such a sweep's
-    evaluations still count towards the best but not as an iteration.
+    minimum, when the budget is spent, or after a sweep that charged fewer
+    than n evaluations; such a sweep's evaluations still count towards the
+    best but not as an iteration.  There is no iteration cap: a budget of
+    n*(t+1) runs exactly t sweeps.
     The recorder receives one TrajectoryRecord per complete sweep, with a
     copy of its positions.  A ``stop_at`` that is not finite, or one on an
     objective without a known minimum, raises ValueError.
@@ -96,7 +96,7 @@ def drive_trial(
     if budget.remaining >= n:
         trial = sweeps(RandomStream(seed))
         best_value, best_position, _ = next(trial)
-        while not tolerance_met(best_value) and iterations < max_iterations and budget.remaining:
+        while not tolerance_met(best_value) and budget.remaining:
             used = budget.used
             best_value, best_position, positions = next(trial)
             if budget.used - used < n:

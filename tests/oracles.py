@@ -184,10 +184,10 @@ def _trial(seed, best_f, best_x, evals, iterations, objective, tolerance, popula
 
 
 def reference_bat(objective, seed: int, max_evals: int, tolerance: Optional[float] = None,
-                  n: int = 40, max_iterations: int = 10_000) -> ReferenceTrial:
-    """The printed bat rules with the README defaults (f in [0,100],
-    alpha = gamma = 0.9, A0 in [1,2], r0 in [0,1])."""
-    f_min, f_max, alpha, gamma = 0.0, 100.0, 0.9, 0.9
+                  n: int = 40, max_iterations: int = 10_000, *, f_min: float = 0.0,
+                  f_max: float = 100.0, alpha: float = 0.9, gamma: float = 0.9) -> ReferenceTrial:
+    """The printed bat rules, by default with the README's parameters
+    (f in [0,100], alpha = gamma = 0.9, A0 in [1,2], r0 in [0,1])."""
     fn, lower, upper = objective.fn, objective.bounds.lower, objective.bounds.upper
     d = lower.size
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -229,11 +229,12 @@ def reference_bat(objective, seed: int, max_evals: int, tolerance: Optional[floa
 
 
 def reference_pso(objective, seed: int, max_evals: int, tolerance: Optional[float] = None,
-                  max_iterations: int = 10_000) -> ReferenceTrial:
+                  max_iterations: int = 10_000, *, inertia: float = 1.0, c1: float = 2.0,
+                  c2: float = 2.0) -> ReferenceTrial:
     """Global-best PSO with 40 particles, v <- I*v + c1*u1*(pbest-x) +
-    c2*u2*(gbest-x) with I = 1, c1 = c2 = 2 and each velocity component
-    clamped at half the coordinate range."""
-    n, inertia, c1, c2 = 40, 1.0, 2.0, 2.0
+    c2*u2*(gbest-x), by default with I = 1 and c1 = c2 = 2, and each
+    velocity component clamped at half the coordinate range."""
+    n = 40
     fn, lower, upper = objective.fn, objective.bounds.lower, objective.bounds.upper
     d = lower.size
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -268,12 +269,13 @@ def reference_pso(objective, seed: int, max_evals: int, tolerance: Optional[floa
 
 
 def reference_ga(objective, seed: int, max_evals: int, tolerance: Optional[float] = None,
-                 max_iterations: int = 10_000) -> ReferenceTrial:
+                 max_iterations: int = 10_000, *, p_mutation: float = 0.05,
+                 p_crossover: float = 0.95) -> ReferenceTrial:
     """Generational real-coded GA without elitism, 40 individuals: rank
-    roulette, uniform crossover (pc = 0.95), per-gene Gaussian mutation
-    (pm = 0.05, sigma = 10% of the range), full replacement; the best ever
-    seen is reported."""
-    n, pm, pc = 40, 0.05, 0.95
+    roulette, uniform crossover (pc = 0.95 by default), per-gene Gaussian
+    mutation (pm = 0.05 by default, sigma = 10% of the range), full
+    replacement; the best ever seen is reported."""
+    n, pm, pc = 40, p_mutation, p_crossover
     fn, lower, upper = objective.fn, objective.bounds.lower, objective.bounds.upper
     d = lower.size
     sigma = 0.1 * (upper - lower)

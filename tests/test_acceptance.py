@@ -238,18 +238,11 @@ def test_criterion_5_ordering_property():
     # budget 40,000, 30 trials, fixed master seed.
     start = time.perf_counter()
     budget = 40_000
-    max_iterations = budget // 40 + 1
-    params = {
-        "bat": BatParams(max_iterations=max_iterations),
-        "pso": PsoParams(max_iterations=max_iterations),
-        "ga": GaParams(max_generations=max_iterations),
-    }
     campaigns = []
     for fn, tol in (("dejong_sphere", 100.0), ("ackley", 17.0)):
         spec = benchmark_spec(fn, 16)
         by_algorithm = experiment_trials(
-            ["bat", "pso", "ga"], spec, tol, budget, trials=30, master_seed=0,
-            params_by_algorithm=params,
+            ["bat", "pso", "ga"], spec, tol, budget, trials=30, master_seed=0
         )
         campaigns.append((fn, tol, spec, by_algorithm))
     elapsed = time.perf_counter() - start
@@ -270,10 +263,7 @@ def test_criterion_5_ordering_property():
             ) + f", bat<pso<ga {'holds' if ordered else 'does not hold'}"
         )
         for a in ("bat", "pso", "ga"):
-            refs = reference_trials(
-                a, spec.objective, tol, budget, trials=30, master_seed=0,
-                max_iterations=max_iterations,
-            )
+            refs = reference_trials(a, spec.objective, tol, budget, trials=30, master_seed=0)
             mismatches += [f"{fn} {a} {m}" for m in _reference_mismatches(by_algorithm[a], refs)]
 
     ok = not mismatches and elapsed < 300.0
@@ -315,16 +305,16 @@ def test_criterion_7_evaluation_accounting():
     start = time.perf_counter()
     spec = benchmark_spec("dejong_sphere", 2)
     failures = []
-    for algo, runner, mk in (
-        ("bat", run_bat, lambda it: BatParams(n=20, max_iterations=it)),
-        ("pso", run_pso, lambda it: PsoParams(n=20, max_iterations=it)),
-        ("ga", run_ga, lambda it: GaParams(n=20, max_generations=it)),
+    for algo, runner, params in (
+        ("bat", run_bat, BatParams(n=20)),
+        ("pso", run_pso, PsoParams(n=20)),
+        ("ga", run_ga, GaParams(n=20)),
     ):
         for stop_at, max_evals in ((None, 20 * 26), (1.0, 20 * 200)):
             counter = CallCounter(spec.objective.fn)
             obj = Objective("sphere", 2, spec.objective.bounds, counter, 0.0, np.zeros(2))
             budget = EvalBudget(max_evals)
-            result = runner(mk(max_evals // 20 - 1), obj, 17, budget, stop_at=stop_at)
+            result = runner(params, obj, 17, budget, stop_at=stop_at)
             expected = 20 + 20 * result.iterations
             if not (result.evaluations_used == expected == counter.calls):
                 failures.append(

@@ -36,7 +36,7 @@ def test_pso_gbest_particle_is_stationary():
     # every update term vanishes and it never moves.
     flat = Objective("flat", 2, Bounds.cube(-1.0, 1.0, 2), lambda x: 1.0, known_min=1.0)
     records = []
-    params = PsoParams(n=5, max_iterations=10)
+    params = PsoParams(n=5)
     run_pso(params, flat, 7, EvalBudget(5 * 11), recorder=records.append)
     first = records[0].positions
     # recover the gbest index: with strict-improvement updates it is particle 0's
@@ -49,7 +49,7 @@ def test_pso_gbest_particle_is_stationary():
 
 
 def test_pso_monotone_best_and_accounting():
-    params = PsoParams(n=8, max_iterations=50)
+    params = PsoParams(n=8)
     counter = CallCounter(SPHERE2.fn)
     obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0, np.zeros(2))
     records = []
@@ -63,7 +63,7 @@ def test_pso_monotone_best_and_accounting():
 
 
 def test_pso_deterministic():
-    params = PsoParams(n=6, max_iterations=20)
+    params = PsoParams(n=6)
     r1 = run_pso(params, SPHERE2, 42, EvalBudget(6 * 21))
     r2 = run_pso(params, SPHERE2, 42, EvalBudget(6 * 21))
     assert r1 == r2
@@ -71,7 +71,7 @@ def test_pso_deterministic():
 
 def test_pso_sphere_d2_reaches_tolerance():
     # 100 seeds, 1e-5 within 20,000 evaluations.
-    params = PsoParams(max_iterations=20_000 // 40 + 1)
+    params = PsoParams()
     successes = 0
     for k in range(100):
         r = run_pso(params, SPHERE2, derive_seed(20, "pso", k), EvalBudget(20_000), stop_at=1e-5)
@@ -80,7 +80,7 @@ def test_pso_sphere_d2_reaches_tolerance():
 
 
 def test_pso_budget_not_multiple_of_population():
-    params = PsoParams(n=8, max_iterations=1_000)
+    params = PsoParams(n=8)
     budget = EvalBudget(8 + 3 * 8 + 5)
     result = run_pso(params, SPHERE2, 9, budget)
     assert result.evaluations_used == budget.max_evaluations
@@ -88,7 +88,7 @@ def test_pso_budget_not_multiple_of_population():
 
 
 def test_ga_population_size_constant():
-    params = GaParams(n=10, max_generations=8)
+    params = GaParams(n=10)
     records = []
     run_ga(params, SPHERE2, 5, EvalBudget(10 * 9), recorder=records.append)
     assert len(records) == 8
@@ -97,7 +97,7 @@ def test_ga_population_size_constant():
 
 
 def test_ga_degenerate_operators_copy_parents():
-    params = GaParams(n=12, p_mutation=0.0, p_crossover=0.0, max_generations=1)
+    params = GaParams(n=12, p_mutation=0.0, p_crossover=0.0)
     records = []
     rng = RandomStream(17)
     # regenerate the initial population exactly as run_ga draws it
@@ -110,7 +110,7 @@ def test_ga_degenerate_operators_copy_parents():
 
 def test_ga_progress_on_sphere():
     # median best after 10,000 evaluations beats median best after 1,000
-    params = GaParams(n=40, max_generations=10_000 // 40)
+    params = GaParams(n=40)
     at_1k, at_10k = [], []
     for k in range(100):
         records = []
@@ -122,7 +122,7 @@ def test_ga_progress_on_sphere():
 
 
 def test_ga_best_ever_monotone_without_elitism():
-    params = GaParams(n=10, max_generations=60)
+    params = GaParams(n=10)
     records = []
     run_ga(params, SPHERE2, 23, EvalBudget(10 * 61), recorder=records.append)
     best = [rec.best_value for rec in records]
@@ -133,7 +133,7 @@ def test_ga_best_ever_monotone_without_elitism():
 
 
 def test_ga_accounting_with_counter_oracle():
-    params = GaParams(n=10, max_generations=25)
+    params = GaParams(n=10)
     counter = CallCounter(SPHERE2.fn)
     obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0, np.zeros(2))
     budget = EvalBudget(10 * 26)
@@ -142,7 +142,7 @@ def test_ga_accounting_with_counter_oracle():
 
 
 def test_ga_deterministic():
-    params = GaParams(n=8, max_generations=15)
+    params = GaParams(n=8)
     r1 = run_ga(params, SPHERE2, 99, EvalBudget(8 * 16))
     r2 = run_ga(params, SPHERE2, 99, EvalBudget(8 * 16))
     assert r1 == r2
@@ -206,19 +206,22 @@ def test_rows_and_point_calls_agree_and_charge_exactly(algorithm, n, sweeps, dat
 @pytest.mark.parametrize("algorithm", ["pso", "ga"])
 def test_baselines_equal_reference_on_cut_sweeps(algorithm, function, dim):
     # Budgets 40 + k*40 + r with 0 < r < 40 stop inside a sweep, which
-    # counts towards the best but not as an iteration.
-    run, params, reference = {
-        "pso": (run_pso, PsoParams(), reference_pso),
-        "ga": (run_ga, GaParams(), reference_ga),
+    # counts towards the best but not as an iteration.  Each budget runs with
+    # the default constants and with non-default ones, so a regrouping that
+    # scaling by a default (c1 = c2 = 2, inertia 1) would leave exact is caught.
+    run, params_cls, reference, knobs = {
+        "pso": (run_pso, PsoParams, reference_pso, {"inertia": 0.729, "c1": 1.49445, "c2": 1.7}),
+        "ga": (run_ga, GaParams, reference_ga, {"p_mutation": 0.2, "p_crossover": 0.6}),
     }[algorithm]
     obj = benchmark_spec(function, dim).objective
     for k in (0, 1, 12):
         for r in (1, 39):
             for seed in (0, 1):
-                max_evals = 40 + k * 40 + r
-                result = run(params, obj, seed, EvalBudget(max_evals))
-                ref = reference(obj, seed, max_evals)
-                assert result.best_value == ref.best_value
-                assert result.best_position == ref.best_position
-                assert result.evaluations_used == ref.evaluations_used == max_evals
-                assert result.iterations == ref.iterations == k
+                for overrides in ({}, knobs):
+                    max_evals = 40 + k * 40 + r
+                    result = run(params_cls(**overrides), obj, seed, EvalBudget(max_evals))
+                    ref = reference(obj, seed, max_evals, **overrides)
+                    assert result.best_value == ref.best_value, overrides
+                    assert result.best_position == ref.best_position, overrides
+                    assert result.evaluations_used == ref.evaluations_used == max_evals
+                    assert result.iterations == ref.iterations == k

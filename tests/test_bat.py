@@ -258,7 +258,7 @@ def test_bat_step_pulse_zero_walks_locally():
 
 
 def test_run_accounting_and_bounds_sweep():
-    params = BatParams(n=10, max_iterations=30)
+    params = BatParams(n=10)
     counter = CallCounter(SPHERE2.fn)
     obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0, np.zeros(2))
     budget = EvalBudget(10 * 31)
@@ -300,16 +300,15 @@ def test_marked_objective_gives_the_unmarked_trial_and_charges_only_used_values(
 
 def _final_swarm(params, seed, budget):
     """The swarm run_bat ends with when no tolerance is set: sweeps until
-    the iteration cap or a spent budget; a sweep the budget cuts short
-    spends what is left."""
+    the budget is spent; a sweep the budget cuts short spends what is left."""
     state = init_bats(params, SPHERE2, RandomStream(seed), budget)
-    while state.iteration < params.max_iterations and budget.remaining:
+    while budget.remaining:
         bat_step(state, params, SPHERE2)
     return state
 
 
 def test_run_bat_monotone_best_and_loudness_histories():
-    params = BatParams(n=12, max_iterations=60)
+    params = BatParams(n=12)
     budget = EvalBudget(12 * 61)
     state = _final_swarm(params, 33, budget)
     bounds = SPHERE2.bounds
@@ -324,7 +323,7 @@ def test_run_bat_monotone_best_and_loudness_histories():
 def test_zero_frequency_zero_velocity_improves_only_via_local_walk():
     # f_min=f_max=0 with zero initial velocities makes the global move an
     # identity, so any improvement is the local walk's doing.
-    params = BatParams(n=10, f_min=0.0, f_max=0.0, max_iterations=50)
+    params = BatParams(n=10, f_min=0.0, f_max=0.0)
     budget = EvalBudget(10 * 51)
     state = _final_swarm(params, 5, budget)
     for v in state.velocities:
@@ -336,7 +335,7 @@ def test_zero_frequency_zero_velocity_improves_only_via_local_walk():
 
 
 def test_run_bat_deterministic_trials_and_trajectories():
-    params = BatParams(n=9, max_iterations=25)
+    params = BatParams(n=9)
     rec1, rec2 = [], []
     r1 = run_bat(params, SPHERE2, 77, EvalBudget(9 * 26), recorder=rec1.append)
     r2 = run_bat(params, SPHERE2, 77, EvalBudget(9 * 26), recorder=rec2.append)
@@ -349,7 +348,7 @@ def test_run_bat_deterministic_trials_and_trajectories():
 
 
 def test_run_bat_stops_at_tolerance_with_iteration_granularity():
-    params = BatParams(n=10, max_iterations=1_000)
+    params = BatParams(n=10)
     budget = EvalBudget(20_000)
     result = run_bat(params, SPHERE2, 3, budget, stop_at=1.0)
     assert result.success
@@ -370,7 +369,7 @@ def test_run_bat_budget_below_init_cost():
 
 
 def test_run_bat_partial_iteration_on_odd_budget():
-    params = BatParams(n=40, max_iterations=1_000)
+    params = BatParams(n=40)
     budget = EvalBudget(40 + 2 * 40 + 15)
     result = run_bat(params, SPHERE2, 13, budget)
     swarm_budget = EvalBudget(budget.max_evaluations)
@@ -419,14 +418,17 @@ def test_bat_step_best_is_lowest_bat(function):
 def test_run_bat_equals_reference_on_small_swarms_and_cut_sweeps(function, dim):
     # Budgets n + k*n + r with 0 < r < n stop inside a sweep; n = 1 has no
     # such r and runs whole sweeps only.  n = 40 sums the mean loudness over
-    # more than 8 bats, where numpy's pairwise sum would differ.
+    # more than 8 bats, where numpy's pairwise sum would differ.  Each case
+    # runs with the default rules' constants and with non-default ones, so a
+    # regrouping that scaling by a default would leave exact is caught.
     obj = benchmark_spec(function, dim).objective
     cases = [(1, 0), (1, 1), (1, 25)]
     cases += [(n, k * n + r) for n in (2, 3, 7, 40) for k in (0, 1, 12) for r in sorted({1, n - 1})]
     for seed, (n, extra) in enumerate(cases):
-        result = run_bat(BatParams(n=n), obj, seed, EvalBudget(n + extra))
-        ref = reference_bat(obj, seed, n + extra, n=n)
-        assert result.best_value == ref.best_value
-        assert result.best_position == ref.best_position
-        assert result.evaluations_used == ref.evaluations_used
-        assert result.iterations == ref.iterations
+        for knobs in ({}, {"f_min": 0.5, "f_max": 2.0, "alpha": 0.95, "gamma": 0.3}):
+            result = run_bat(BatParams(n=n, **knobs), obj, seed, EvalBudget(n + extra))
+            ref = reference_bat(obj, seed, n + extra, n=n, **knobs)
+            assert result.best_value == ref.best_value, knobs
+            assert result.best_position == ref.best_position, knobs
+            assert result.evaluations_used == ref.evaluations_used
+            assert result.iterations == ref.iterations

@@ -197,7 +197,8 @@ def _dims(name):
 @given(st.sampled_from(registry_names()), st.data())
 def test_formulas_equal_their_frozen_point_forms_bit_for_bit(name, data):
     # In-box points at d = 1..64 in blocks of m = 1..41 rows, a share of
-    # their coordinates set to a signed zero or a face of the box.
+    # their coordinates set to a signed zero or a face of the box.  Every
+    # registry formula is marked to score rows, so both forms are checked.
     d = data.draw(_dims(name), label="d")
     m = data.draw(st.integers(1, 41), label="m")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
@@ -212,8 +213,8 @@ def test_formulas_equal_their_frozen_point_forms_bit_for_bit(name, data):
     frozen = np.array([FROZEN_FORMULAS[name](x) for x in xs])
     points = np.array([objective.fn(x) for x in xs])
     assert points.tobytes() == frozen.tobytes()
-    if getattr(objective.fn, "scores_rows", False):
-        assert objective.fn(xs).tobytes() == frozen.tobytes()
+    assert getattr(objective.fn, "scores_rows", False) is True
+    assert objective.fn(xs).tobytes() == frozen.tobytes()
 
 
 @pytest.mark.parametrize("name", registry_names())
@@ -235,5 +236,6 @@ def test_formulas_equal_their_frozen_point_forms_on_fixed_points(name):
     near = np.clip(centre + scale * rng.standard_normal((10_000, d)), b.lower, b.upper)
     xs = np.concatenate([uniform, near])
     frozen = np.array([FROZEN_FORMULAS[name](x) for x in xs])
+    assert getattr(objective.fn, "scores_rows", False) is True
     assert objective.fn(xs).tobytes() == frozen.tobytes()
     assert np.array([objective.fn(x) for x in xs]).tobytes() == frozen.tobytes()

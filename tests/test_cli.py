@@ -122,7 +122,7 @@ def _trace_args(iters, *extra):
 def test_trace_bytes_at_workload_size(tmp_path, capsys):
     records = []
     run_trial("bat", benchmark_spec("dejong", 16), None, 40 * 51, 3,
-              params=BatParams(n=40, max_iterations=50), recorder=records.append)
+              params=BatParams(n=40), recorder=records.append)
     expected = [_reference_trace_line(r) + "\n" for r in records]
     assert len(records) == 50
 

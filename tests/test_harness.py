@@ -96,7 +96,7 @@ def test_drive_trial_counts_a_sweep_only_when_it_charged_n():
             yield 0.0, rows[0], rows
 
     records = []
-    result = drive_trial("toy", sweeps, 4, 100, obj, 0, budget, recorder=records.append)
+    result = drive_trial("toy", sweeps, 4, obj, 0, budget, recorder=records.append)
     assert result.iterations == 1
     assert [r.iteration for r in records] == [1]
     assert result.evaluations_used == budget.used == 10
