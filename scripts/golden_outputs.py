@@ -85,11 +85,16 @@ def _cases() -> dict[str, list[str]]:
             "--c2", "1.0", "--inertia", "0.7", "--pc", "0.5",
             *OVERRIDES["bat"], *OVERRIDES["pso"], *OVERRIDES["ga"], "--format", fmt,
         ]
-    # perfbench's trace size, and a compare where eggcrate and Easom score
-    # rows and most trials stop on the tolerance.
+    # perfbench's trace size; PSO and GA traces at d=16, where nearly every
+    # row moves each sweep (the GA's with its odd extra child); and a compare
+    # where eggcrate and Easom score rows and most trials stop on the tolerance.
     for name, args, out in (
         ("trace-bat-dejong16", ["trace", "--algorithm", "bat", "--function", "dejong", "--dim", "16",
                                 "--pop", "40", "--iters", "400", "--seed", "0"], "trace.jsonl"),
+        ("trace-pso-rastrigin16", ["trace", "--algorithm", "pso", "--function", "rastrigin", "--dim",
+                                   "16", "--pop", "40", "--iters", "50", "--seed", "0"], "trace.jsonl"),
+        ("trace-ga-rastrigin16-odd", ["trace", "--algorithm", "ga", "--function", "rastrigin", "--dim",
+                                      "16", "--pop", "41", "--iters", "50", "--seed", "0"], "trace.jsonl"),
         ("compare-eggcrate-easom", ["compare", "--functions", "eggcrate,easom", "--algorithms",
                                     "bat,pso,ga", "--trials", "4", "--tolerance", "1e-3", "--seed",
                                     "0", "--format", "jsonl"], "compare.jsonl"),

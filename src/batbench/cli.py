@@ -22,7 +22,9 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, TextIO
+
+import numpy as np
 
 from . import __version__
 from .benchmarks import (
@@ -35,6 +37,7 @@ from .core import RandomStream, TrajectoryRecord
 from .harness import (
     ALGORITHMS,
     UnknownAlgorithmError,
+    check_campaign,
     experiment_trials,
     lookup_algorithm,
     run_trial,
@@ -115,6 +118,17 @@ def _output(args: argparse.Namespace, config: str):
         Path(args.output + ".config.json").write_text(config + "\n")
 
 
+@contextlib.contextmanager
+def _trials_running():
+    """Report any error raised inside as a runtime failure (exit 1), a
+    ValueError included: the configuration was checked before the first
+    trial started."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(exc) from exc
+
+
 def _emit(args: argparse.Namespace, config: str, records: list[dict]) -> None:
     """Write (key, value) records as a commented CSV table or as JSONL with
     a config sidecar; floats keep 17 significant digits in both."""
@@ -140,26 +154,31 @@ def _cmd_list(_: argparse.Namespace) -> int:
 def _campaign(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> tuple[str, list]:
     """The resolved config and, per function, every algorithm's trials.
 
-    Names are looked up first, then the specs and then the params are
-    built, so errors are reported in that order before any trial runs.
+    Names are looked up first, then the specs and the params are built,
+    then each spec's campaign is checked, so errors are reported in that
+    order before any trial runs.  A failure in a trial is a runtime one.
     """
     for algorithm in algorithms:
         lookup_algorithm(algorithm)
     specs = [benchmark_spec(name, args.dim) for name in functions]
     params_by_algorithm = _build_params(args, algorithms)
-    return _config(args, algorithms, functions), [
-        experiment_trials(
-            algorithms,
-            spec,
-            args.tolerance,
-            args.max_evals,
-            args.trials,
-            args.seed,
-            params_by_algorithm=params_by_algorithm,
-            workers=args.workers,
-        )
-        for spec in specs
-    ]
+    for spec in specs:
+        check_campaign(spec, args.tolerance, args.max_evals, args.trials, args.workers)
+    with _trials_running():
+        campaigns = [
+            experiment_trials(
+                algorithms,
+                spec,
+                args.tolerance,
+                args.max_evals,
+                args.trials,
+                args.seed,
+                params_by_algorithm=params_by_algorithm,
+                workers=args.workers,
+            )
+            for spec in specs
+        ]
+    return _config(args, algorithms, functions), campaigns
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -197,6 +216,41 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_writer(out: TextIO, n: int, d: int) -> Callable[[TrajectoryRecord], None]:
+    """The recorder that writes one trace line per record to `out`.
+
+    A line where every row moved (the first, and nearly every PSO or GA
+    sweep) is formatted in one call.  Otherwise each row keeps its text,
+    and only the rows whose bits differ from the previous record's are
+    formatted again: bits, since -0.0 == 0.0 yet they print as "-0" and
+    "0".  Either way a line's bytes are those of formatting each value
+    with _fmt.
+    """
+    row = "[" + ",".join(["%.17g"] * d) + "]"  # the conversion _fmt makes
+    line = '{"iter": %d, "positions": [%s], "best": %s}\n'
+    every_row = '{"iter": %d, "positions": [' + ",".join([row] * n) + '], "best": %s}\n'
+    kept: Optional[list[str]] = None  # each row's text, once a line is built from rows
+    previous: Optional[np.ndarray] = None
+
+    def write(r: TrajectoryRecord) -> None:
+        nonlocal kept, previous
+        bits = r.positions.view(np.uint64)
+        moved = range(n) if previous is None else np.flatnonzero((bits != previous).any(axis=1))
+        previous = bits
+        best = _json_value(r.best_value)
+        if len(moved) == n:
+            kept = None
+            out.write(every_row % (r.iteration, *r.positions.ravel().tolist(), best))
+            return
+        if kept is None:
+            kept, moved = [""] * n, range(n)
+        for i in moved:
+            kept[i] = row % tuple(r.positions[i].tolist())
+        out.write(line % (r.iteration, ",".join(kept), best))
+
+    return write
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     # The budget of exactly --iters sweeps after initialisation.
     args.max_evals = args.pop * (args.iters + 1)
@@ -205,14 +259,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise ValueError("--iters must be >= 1")
     spec = benchmark_spec(args.function, args.dim)
     params = _build_params(args, (args.algorithm,))[args.algorithm]
-    # One template per trace; "%.17g" is the conversion _fmt makes.
-    row = "[" + ",".join(["%.17g"] * spec.objective.dim) + "]"
-    line = '{"iter": %d, "positions": [' + ",".join([row] * params.n) + '], "best": %s}\n'
 
-    with _output(args, _config(args, (args.algorithm,), (args.function,))) as out:
-        def write(r: TrajectoryRecord) -> None:
-            out.write(line % (r.iteration, *r.positions.ravel().tolist(), _json_value(r.best_value)))
-
+    with _output(args, _config(args, (args.algorithm,), (args.function,))) as out, _trials_running():
+        write = _trace_writer(out, params.n, spec.objective.dim)
         run_trial(args.algorithm, spec, None, args.max_evals, args.seed, params=params, recorder=write)
     return 0
 
@@ -284,7 +333,7 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"batbench: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"batbench: error: {exc}", file=sys.stderr)
         return 1
 

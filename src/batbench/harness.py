@@ -17,7 +17,7 @@ from .baselines import GaParams, PsoParams, run_ga, run_pso
 from .bat import BatParams, run_bat
 from .benchmarks import BenchmarkSpec
 from .core import EvalBudget, TrajectoryRecord, derive_seed
-from .results import ExperimentSummary, Recorder, TrialResult
+from .results import ExperimentSummary, Recorder, TrialResult, check_stop_at
 
 __all__ = [
     "ALGORITHMS",
@@ -29,6 +29,7 @@ __all__ = [
     "lookup_algorithm",
     "default_params",
     "run_trial",
+    "check_campaign",
     "experiment_trials",
     "summarize",
 ]
@@ -98,6 +99,20 @@ def run_trial(
     )
 
 
+def check_campaign(
+    spec: BenchmarkSpec, tolerance: Optional[float], max_evals: int, trials: int, workers: int
+) -> None:
+    """ValueError for a campaign that cannot run, raised before any trial
+    starts: fewer than one trial or worker, a budget below one evaluation,
+    or a tolerance that check_stop_at refuses."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    EvalBudget(max_evals)
+    check_stop_at(tolerance, spec.objective)
+
+
 def experiment_trials(
     algorithms: Sequence[str],
     spec: BenchmarkSpec,
@@ -112,11 +127,9 @@ def experiment_trials(
 
     Trial k of each algorithm runs with the seed derived from
     (master_seed, algorithm, k), so results do not depend on `workers`.
+    The settings are checked by check_campaign first.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    check_campaign(spec, tolerance, max_evals, trials, workers)
     for algorithm in algorithms:
         lookup_algorithm(algorithm)
     params_by_algorithm = params_by_algorithm or {}

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import EvalBudget, Objective, RandomStream, TrajectoryRecord, Vector
 
-__all__ = ["TrialResult", "ExperimentSummary", "Recorder", "Sweeps", "drive_trial"]
+__all__ = ["TrialResult", "ExperimentSummary", "Recorder", "Sweeps", "check_stop_at", "drive_trial"]
 
 Recorder = Callable[[TrajectoryRecord], None]
 
@@ -59,6 +59,15 @@ class ExperimentSummary:
     trial_count: int
 
 
+def check_stop_at(stop_at: Optional[float], obj: Objective) -> None:
+    """ValueError for a tolerance that is not finite, or one on an objective
+    without a known minimum to measure it from."""
+    if stop_at is not None and not math.isfinite(stop_at):
+        raise ValueError("tolerance must be finite")
+    if stop_at is not None and obj.known_min is None:
+        raise ValueError(f"{obj.name} has no known minimum; tolerance-based success is undefined")
+
+
 def drive_trial(
     algorithm: str,
     sweeps: Callable[[RandomStream], Sweeps],
@@ -80,13 +89,10 @@ def drive_trial(
     best but not as an iteration.  There is no iteration cap: a budget of
     n*(t+1) runs exactly t sweeps.
     The recorder receives one TrajectoryRecord per complete sweep, with a
-    copy of its positions.  A ``stop_at`` that is not finite, or one on an
-    objective without a known minimum, raises ValueError.
+    copy of its positions.  A ``stop_at`` that check_stop_at refuses
+    raises ValueError.
     """
-    if stop_at is not None and not math.isfinite(stop_at):
-        raise ValueError("tolerance must be finite")
-    if stop_at is not None and obj.known_min is None:
-        raise ValueError(f"{obj.name} has no known minimum; tolerance-based success is undefined")
+    check_stop_at(stop_at, obj)
     start = time.perf_counter()
 
     def tolerance_met(value: float) -> bool:

@@ -207,10 +207,10 @@ def reference_bat(objective, seed: int, max_evals: int, tolerance: Optional[floa
         for i in range(n):
             f = f_min + (f_max - f_min) * rng.random()
             v[i] = v[i] + (x[i] - best_x) * f
-            cand = np.clip(x[i] + v[i], lower, upper)
+            cand = np.minimum(np.maximum(x[i] + v[i], lower), upper)
             if rng.random() > pulse[i]:
                 eps = 2.0 * rng.random(d) - 1.0
-                cand = np.clip(best_x + eps * mean_loudness, lower, upper)
+                cand = np.minimum(np.maximum(best_x + eps * mean_loudness, lower), upper)
             if evals == max_evals:
                 break
             fc = float(fn(cand))

@@ -1,16 +1,18 @@
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from batbench import __version__, cli
-from batbench.bat import BatParams
 from batbench.cli import run_cli
 from batbench.benchmarks import benchmark_spec, registry_names
-from batbench.harness import run_trial
+from batbench.core import TrajectoryRecord
+from batbench.harness import default_params, run_trial
 
 
 def _sha(path):
@@ -114,30 +116,68 @@ def _reference_trace_line(record):
     return '{"iter": %d, "positions": [%s], "best": %s}' % (record.iteration, rows, best)
 
 
-def _trace_args(iters, *extra):
-    return ["trace", "--algorithm", "bat", "--function", "dejong", "--dim", "16",
-            "--pop", "40", "--iters", str(iters), "--seed", "3", *extra]
+def _trace_args(iters, *extra, algorithm="bat", pop=40):
+    return ["trace", "--algorithm", algorithm, "--function", "dejong", "--dim", "16",
+            "--pop", str(pop), "--iters", str(iters), "--seed", "3", *extra]
 
 
 def test_trace_bytes_at_workload_size(tmp_path, capsys):
-    records = []
-    run_trial("bat", benchmark_spec("dejong", 16), None, 40 * 51, 3,
-              params=BatParams(n=40), recorder=records.append)
-    expected = [_reference_trace_line(r) + "\n" for r in records]
-    assert len(records) == 50
+    # The bat moves few rows per sweep; PSO and GA move nearly all of them,
+    # and the GA's odd population has its extra child.
+    for algorithm, pop in (("bat", 40), ("pso", 41), ("ga", 41)):
+        records = []
+        params = dataclasses.replace(default_params(algorithm), n=pop)
+        run_trial(algorithm, benchmark_spec("dejong", 16), None, pop * 51, 3,
+                  params=params, recorder=records.append)
+        expected = [_reference_trace_line(r) + "\n" for r in records]
+        assert len(records) == 50
 
-    def assert_lines(text):
-        lines = text.splitlines(keepends=True)
-        assert len(lines) == len(expected)
-        differing = [k for k, (line, want) in enumerate(zip(lines, expected), 1) if line != want]
-        assert not differing, f"lines {differing[:5]} differ"
+        def assert_lines(text):
+            lines = text.splitlines(keepends=True)
+            assert len(lines) == len(expected)
+            differing = [k for k, (line, want) in enumerate(zip(lines, expected), 1) if line != want]
+            assert not differing, f"{algorithm}: lines {differing[:5]} differ"
 
-    out = tmp_path / "trace.jsonl"
-    assert run_cli(_trace_args(50, "--output", str(out))) == 0
-    assert_lines(out.read_text())
-    capsys.readouterr()
-    assert run_cli(_trace_args(50)) == 0
-    assert_lines(capsys.readouterr().out)
+        out = tmp_path / f"{algorithm}.jsonl"
+        assert run_cli(_trace_args(50, "--output", str(out), algorithm=algorithm, pop=pop)) == 0
+        assert_lines(out.read_text())
+        capsys.readouterr()
+        assert run_cli(_trace_args(50, algorithm=algorithm, pop=pop)) == 0
+        assert_lines(capsys.readouterr().out)
+
+
+def test_trace_writer_formats_moved_rows_by_their_bits():
+    """Hand-made records through the row cache: a row that flips between
+    0.0 and -0.0 (equal as floats, printed apart), a row that changes only
+    in its last bit, lines where every row moves or none does, and a NaN
+    best written as null."""
+    base = np.array([[0.0, 1.5, -2.25], [0.1, 0.2, 0.3], [7.0, -8.0, 9.5]])
+    last_bit = base.copy()
+    last_bit[1, 2] = np.nextafter(0.3, 1.0)
+    signed = last_bit.copy()
+    signed[0, 0] = -0.0
+    moved = base + 1.0
+    records = [
+        TrajectoryRecord(k, positions, best)
+        for k, (positions, best) in enumerate([
+            (base, 3.0),
+            (signed, 2.0),       # two rows moved, after a line that moved every row
+            (base, 1.0),         # the same two rows back
+            (last_bit, 1.0),     # one row by its last bit
+            (last_bit, math.nan),  # no row moved
+            (moved, 0.5),        # every row moved
+            (last_bit, -0.0),    # every row moved back
+            (signed, math.inf),  # one row moved, after a line that moved every row
+        ], 1)
+    ]
+    out = io.StringIO()
+    write = cli._trace_writer(out, 3, 3)
+    for record in records:
+        write(record)
+    lines = out.getvalue().splitlines()
+    assert lines == [_reference_trace_line(r) for r in records]
+    assert "[[-0,1.5,-2.25]" in lines[1] and "[[0,1.5,-2.25]" in lines[2]
+    assert lines[4].endswith('"best": null}') and lines[7].endswith('"best": null}')
 
 
 def test_trace_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
@@ -168,6 +208,64 @@ def test_trace_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert run_cli(_trace_args(10)) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [json.loads(line)["iter"] for line in lines] == [1, 2, 3]
+
+
+def _spec_raising_in_sweep(calls, sweep, error):
+    """benchmark_spec whose objective raises `error` on the 8th call of the
+    given sweep of 40 bats, sweep 0 being the initialisation (one call per
+    point: the wrapper scores no rows)."""
+    def spec_of(name, dim):
+        spec = benchmark_spec(name, dim)
+        fn = spec.objective.fn
+
+        def flaky(x):
+            calls.append(None)
+            if len(calls) > 40 * sweep + 7:
+                raise error
+            return fn(x)
+
+        return dataclasses.replace(spec, objective=dataclasses.replace(spec.objective, fn=flaky))
+
+    return spec_of
+
+
+@pytest.mark.parametrize("subcommand", ["run", "trace"])
+def test_value_error_inside_a_trial_exits_1(tmp_path, monkeypatch, capsys, subcommand):
+    # A ValueError from the objective is a runtime failure, not a configuration error.
+    calls = []
+    monkeypatch.setattr(cli, "benchmark_spec", _spec_raising_in_sweep(calls, 3, ValueError("bad point")))
+    out = tmp_path / "out.jsonl"
+    if subcommand == "run":
+        argv = ["run", "--algorithm", "bat", "--function", "dejong", "--dim", "16", "--trials", "2",
+                "--max-evals", "1000", "--format", "jsonl", "--output", str(out)]
+    else:
+        argv = _trace_args(10, "--output", str(out))
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "batbench: error: bad point\n"
+    assert len(calls) == 40 * 3 + 8
+    assert not out.exists()
+    assert not (tmp_path / "out.jsonl.config.json").exists()
+
+
+def test_invalid_configuration_exits_2_before_any_trial(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "benchmark_spec", _spec_raising_in_sweep(calls, 0, AssertionError))
+    out = tmp_path / "never.csv"
+    for argv, message in [
+        (["run", "--algorithm", "bat", "--function", "dejong", "--max-evals", "0"],
+         "max_evaluations must be positive"),
+        (["run", "--algorithm", "pso", "--function", "dejong", "--tolerance", "inf"],
+         "tolerance must be finite"),
+        (["run", "--algorithm", "ga", "--function", "dejong", "--trials", "0"], "trials must be >= 1"),
+        (["run", "--algorithm", "bat", "--function", "dejong", "--workers", "0"], "workers must be >= 1"),
+        # The second function's tolerance is refused before the first one's trials run.
+        (["compare", "--functions", "dejong,michalewicz", "--dim", "16", "--tolerance", "0.1"],
+         "michalewicz has no known minimum; tolerance-based success is undefined"),
+    ]:
+        assert run_cli(argv + ["--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"batbench: invalid configuration: {message}\n"
+        assert calls == []
+        assert not out.exists()
 
 
 def test_trace_memory_does_not_grow_with_iters(tmp_path):
