@@ -156,7 +156,10 @@ def _campaign(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> 
 
     Names are looked up first, then the specs and the params are built,
     then each spec's campaign is checked, so errors are reported in that
-    order before any trial runs.  A failure in a trial is a runtime one.
+    order before any trial runs.  experiment_trials repeats its own spec's
+    check for library callers; the one here is what refuses a later
+    function before an earlier one's trials run.  A failure in a trial is
+    a runtime one.
     """
     for algorithm in algorithms:
         lookup_algorithm(algorithm)
@@ -219,34 +222,24 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _trace_writer(out: TextIO, n: int, d: int) -> Callable[[TrajectoryRecord], None]:
     """The recorder that writes one trace line per record to `out`.
 
-    A line where every row moved (the first, and nearly every PSO or GA
-    sweep) is formatted in one call.  Otherwise each row keeps its text,
-    and only the rows whose bits differ from the previous record's are
-    formatted again: bits, since -0.0 == 0.0 yet they print as "-0" and
-    "0".  Either way a line's bytes are those of formatting each value
-    with _fmt.
+    Each row keeps its text, and only the rows whose bits differ from the
+    previous record's are formatted again (all of them on the first line):
+    bits, since -0.0 == 0.0 yet they print as "-0" and "0".  A line's bytes
+    are those of formatting each value with _fmt.
     """
     row = "[" + ",".join(["%.17g"] * d) + "]"  # the conversion _fmt makes
     line = '{"iter": %d, "positions": [%s], "best": %s}\n'
-    every_row = '{"iter": %d, "positions": [' + ",".join([row] * n) + '], "best": %s}\n'
-    kept: Optional[list[str]] = None  # each row's text, once a line is built from rows
+    kept = [""] * n  # each row's text on the previous line
     previous: Optional[np.ndarray] = None
 
     def write(r: TrajectoryRecord) -> None:
-        nonlocal kept, previous
+        nonlocal previous
         bits = r.positions.view(np.uint64)
         moved = range(n) if previous is None else np.flatnonzero((bits != previous).any(axis=1))
         previous = bits
-        best = _json_value(r.best_value)
-        if len(moved) == n:
-            kept = None
-            out.write(every_row % (r.iteration, *r.positions.ravel().tolist(), best))
-            return
-        if kept is None:
-            kept, moved = [""] * n, range(n)
         for i in moved:
             kept[i] = row % tuple(r.positions[i].tolist())
-        out.write(line % (r.iteration, ",".join(kept), best))
+        out.write(line % (r.iteration, ",".join(kept), _json_value(r.best_value)))
 
     return write
 
