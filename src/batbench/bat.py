@@ -51,7 +51,7 @@ __all__ = [
 @dataclass(frozen=True)
 class BatParams:
     """Tuning knobs; defaults follow the reference configuration
-    (n=40, f in [0,100], alpha=gamma=0.9, loudness in [1,2], pulse ceiling in [0,1]).
+    (n=40, f in [0,100], alpha=gamma=0.9).
     """
 
     n: int = 40
@@ -59,8 +59,6 @@ class BatParams:
     f_max: float = 100.0
     alpha: float = 0.9
     gamma: float = 0.9
-    loudness_range: tuple[float, float] = (1.0, 2.0)
-    pulse_range: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
         if self.n < 1:
@@ -73,12 +71,6 @@ class BatParams:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
-        a_lo, a_hi = self.loudness_range
-        if not 0.0 < a_lo <= a_hi < math.inf:
-            raise ValueError("loudness_range must be positive and finite")
-        r_lo, r_hi = self.pulse_range
-        if not (0.0 <= r_lo <= r_hi <= 1.0):
-            raise ValueError("pulse_range must lie within [0, 1]")
 
 
 @dataclass
@@ -109,20 +101,18 @@ def init_bats(
 ) -> BatState:
     """Draw and evaluate the initial population (n evaluations).
 
-    Bat by bat: d position draws, then one draw each for frequency,
-    loudness and pulse rate.
+    Bat by bat: d position draws, then one draw u each for the frequency,
+    the loudness A0 = 1 + u and the pulse ceiling r0 = u.
     """
     if budget.remaining < params.n:
         raise BudgetExceededError(
             f"budget remaining {budget.remaining} cannot initialize {params.n} bats"
         )
     n, d, bounds = params.n, obj.dim, obj.bounds
-    a_lo, a_hi = params.loudness_range
-    r_lo, r_hi = params.pulse_range
     draws = rng.uniform_vector(n * (d + 3)).reshape(n, d + 3)
     positions = bounds.lower + draws[:, :d] * bounds.width
-    loudness = a_lo + (a_hi - a_lo) * draws[:, d + 1]
-    pulse_rates = r_lo + (r_hi - r_lo) * draws[:, d + 2]
+    loudness = 1.0 + draws[:, d + 1]
+    pulse_rates = draws[:, d + 2]
     values = counted_evaluate_rows(obj, positions, budget)
     best = int(np.argmin(values))
     return BatState(

@@ -37,7 +37,9 @@ class BudgetExceededError(RuntimeError):
 
 
 def _as_vector(x, name: str) -> Vector:
-    arr = np.asarray(x, dtype=float)
+    """A float64 copy of x, which the caller may then freeze without
+    freezing the caller's array."""
+    arr = np.array(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     return arr

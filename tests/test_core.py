@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from batbench import benchmarks
 from batbench.baselines import _initial_population
 from batbench.core import (
     Bounds,
@@ -50,6 +51,20 @@ def test_bounds_validation():
         Bounds(np.array([np.nan]), np.array([1.0]))
     assert BOX2.dim == 2
     assert BOX2.width == pytest.approx([4.096, 4.096])
+
+
+def test_bounds_and_objective_freeze_copies_not_the_callers_arrays():
+    lo, hi, argmin = np.zeros(2), np.ones(2), np.full(2, 0.5)
+    bounds = Bounds(lo, hi)
+    obj = Objective("sphere", 2, bounds, lambda x: float(x @ x), 0.0, argmin)
+    lo[0], hi[0], argmin[0] = -1.0, 2.0, 0.25
+    assert bounds.lower.tolist() == [0.0, 0.0] and bounds.upper.tolist() == [1.0, 1.0]
+    assert obj.known_argmin.tolist() == [0.5, 0.5]
+    frozen = (bounds.lower, bounds.upper, obj.known_argmin)
+    assert not any(a.flags.writeable for a in frozen)
+    # The registry's own minimizer table stays writable too.
+    benchmark_spec("michalewicz", 2)
+    assert benchmarks._MICHALEWICZ_ARGMIN[2].flags.writeable
 
 
 def test_clamp_examples():

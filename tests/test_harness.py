@@ -83,6 +83,14 @@ def test_run_trial_unknown_algorithm_and_missing_min():
     assert r.evaluations_used == 400
 
 
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_every_params_field_is_set_from_the_cli(algorithm):
+    # n is --pop; every other knob has its flag, so the config line records it.
+    entry = ALGORITHMS[algorithm]
+    fields = {field.name for field in dataclasses.fields(entry.params)}
+    assert fields == {"n"} | set(entry.flags.values())
+
+
 def test_drive_trial_counts_a_sweep_only_when_it_charged_n():
     # The sweeps never signal a cut: with n = 4 and a budget of 10 the
     # second sweep charges 2, ends the trial and is not an iteration.
