@@ -79,6 +79,16 @@ def _cases() -> dict[str, list[str]]:
                     "--max-evals", "900", "--seed", "3", "--workers", workers, "--format", fmt]
             cases[f"compare-{fmt}-w{workers}-stdout"] = base
             cases[f"compare-{fmt}-w{workers}-file"] = base + ["--output", f"cmp.{fmt}"]
+        # The thread-pool trial mapping of both commands.
+        cases[f"run-bat-{fmt}-w2"] = [
+            "run", "--algorithm", "bat", "--function", "ackley", *SMALL, "--tolerance", "0.5",
+            "--workers", "2", "--format", fmt,
+        ]
+        cases[f"compare-{fmt}-w3-trials5"] = [
+            "compare", "--functions", "dejong,rastrigin", "--dim", "3", "--algorithms", "ga,bat,pso",
+            "--trials", "5", "--tolerance", "0.5", "--max-evals", "600", "--seed", "2",
+            "--workers", "3", "--format", fmt,
+        ]
         cases[f"compare-{fmt}-all-overrides"] = [
             "compare", "--functions", "eggcrate", "--algorithms", "ga,bat,pso", "--trials", "2",
             "--max-evals", "500", "--fmin", "1", "--fmax", "50", "--gamma", "0.5",

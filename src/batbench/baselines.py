@@ -19,6 +19,7 @@ from .core import (
     EvalBudget,
     Objective,
     RandomStream,
+    clamp_to_bounds,
     counted_evaluate_rows,
 )
 from .results import Recorder, Sweeps, TrialResult, drive_trial
@@ -100,7 +101,7 @@ def _pso_sweeps(params: PsoParams, obj: Objective, budget: EvalBudget, rng: Rand
         u2 = rng.uniform_vector(n * d).reshape(n, d)
         v = params.inertia * v + params.c1 * u1 * (pbest - x) + params.c2 * u2 * (gbest - x)
         np.clip(v, -vmax, vmax, out=v)
-        x = np.clip(x + v, bounds.lower, bounds.upper)
+        x = clamp_to_bounds(x + v, bounds)
         # A sweep the budget cuts short keeps the values it got.  Strict
         # improvement and argmin's first minimum give the particle-by-particle
         # updates' result.
@@ -124,10 +125,7 @@ def run_pso(
     recorder: Optional[Recorder] = None,
 ) -> TrialResult:
     """Global-best PSO: v <- I v + c1 u1 (pbest - x) + c2 u2 (gbest - x)."""
-    return drive_trial(
-        "pso", lambda rng: _pso_sweeps(params, obj, budget, rng), params.n,
-        obj, seed, budget, stop_at, recorder,
-    )
+    return drive_trial("pso", _pso_sweeps, params, obj, seed, budget, stop_at, recorder)
 
 
 class GenerationDraws(NamedTuple):
@@ -205,7 +203,7 @@ def _ga_sweeps(params: GaParams, obj: Objective, budget: EvalBudget, rng: Random
         # Gaussian mutation of the masked genes only: adding a zero step
         # elsewhere would turn -0.0 into 0.0.
         mutated = np.where(draws.mutate, offspring + draws.steps * sigma, offspring)
-        offspring = np.clip(mutated, bounds.lower, bounds.upper)
+        offspring = clamp_to_bounds(mutated, bounds)
 
         new_values = counted_evaluate_rows(obj, offspring, budget)
         # A partial generation still counts its observations.
@@ -231,7 +229,4 @@ def run_ga(
     No elitism: the best-ever individual is tracked for reporting only and
     is never reinserted.
     """
-    return drive_trial(
-        "ga", lambda rng: _ga_sweeps(params, obj, budget, rng), params.n,
-        obj, seed, budget, stop_at, recorder,
-    )
+    return drive_trial("ga", _ga_sweeps, params, obj, seed, budget, stop_at, recorder)

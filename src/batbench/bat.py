@@ -270,7 +270,4 @@ def run_bat(
     When a recorder is supplied it receives one TrajectoryRecord per
     completed iteration (all n positions plus the running best value).
     """
-    return drive_trial(
-        "bat", lambda rng: _sweeps(params, obj, budget, rng), params.n,
-        obj, seed, budget, stop_at, recorder,
-    )
+    return drive_trial("bat", _sweeps, params, obj, seed, budget, stop_at, recorder)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import statistics
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .baselines import GaParams, PsoParams, run_ga, run_pso
@@ -127,36 +128,26 @@ def experiment_trials(
 
     Trial k of each algorithm runs with the seed derived from
     (master_seed, algorithm, k), so results do not depend on `workers`.
-    The settings are checked by check_campaign first.
+    The settings are checked by check_campaign first; an algorithm named
+    twice is a ValueError.  Each trial is a call of the module's run_trial,
+    looked up when the campaign starts.
     """
     check_campaign(spec, tolerance, max_evals, trials, workers)
     for algorithm in algorithms:
         lookup_algorithm(algorithm)
-    params_by_algorithm = params_by_algorithm or {}
+    if len(set(algorithms)) < len(algorithms):
+        raise ValueError("each algorithm may be named once")
 
-    jobs = [
-        (algorithm, derive_seed(master_seed, algorithm, k))
-        for algorithm in algorithms
-        for k in range(trials)
-    ]
-
-    def execute(job):
-        algorithm, seed = job
-        return run_trial(
-            algorithm,
-            spec,
-            tolerance,
-            max_evals,
-            seed,
-            params=params_by_algorithm.get(algorithm),
-        )
-
+    # One column per run_trial argument, one row per trial, algorithm-major.
+    names = [algorithm for algorithm in algorithms for _ in range(trials)]
+    seeds = [derive_seed(master_seed, algorithm, k) for algorithm in algorithms for k in range(trials)]
+    params = [(params_by_algorithm or {}).get(algorithm) for algorithm in names]
+    columns = (names, repeat(spec), repeat(tolerance), repeat(max_evals), seeds, params)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(execute, jobs))
+            outcomes = list(pool.map(run_trial, *columns))
     else:
-        outcomes = [execute(job) for job in jobs]
-    # The jobs, and so the outcomes, are in algorithm-major order.
+        outcomes = list(map(run_trial, *columns))
     return {algorithm: outcomes[i * trials : (i + 1) * trials] for i, algorithm in enumerate(algorithms)}
 
 

@@ -60,34 +60,36 @@ class ExperimentSummary:
 
 
 def check_stop_at(stop_at: Optional[float], obj: Objective) -> None:
-    """ValueError for a tolerance that is not finite, or one on an objective
-    without a known minimum to measure it from."""
+    """ValueError for a tolerance that is not finite, one below zero, or one
+    on an objective without a known minimum to measure it from."""
     if stop_at is not None and not math.isfinite(stop_at):
         raise ValueError("tolerance must be finite")
+    if stop_at is not None and stop_at < 0:
+        raise ValueError("tolerance must be >= 0")
     if stop_at is not None and obj.known_min is None:
         raise ValueError(f"{obj.name} has no known minimum; tolerance-based success is undefined")
 
 
 def drive_trial(
     algorithm: str,
-    sweeps: Callable[[RandomStream], Sweeps],
-    n: int,
+    sweeps: Callable[..., Sweeps],
+    params,
     obj: Objective,
     seed: int,
     budget: EvalBudget,
     stop_at: Optional[float] = None,
     recorder: Optional[Recorder] = None,
 ) -> TrialResult:
-    """One trial: initialise n agents, then sweep until a stop.  This is the
-    one function that decides every stop.
+    """One trial: initialise params.n agents, then sweep until a stop.  This
+    is the one function that decides every stop.
 
-    ``sweeps(rng)`` starts the algorithm on the trial's stream.  A budget
-    below n skips the trial (no evaluation, no best position).  Otherwise
-    the loop stops once the best is within ``stop_at`` of the known
-    minimum, when the budget is spent, or after a sweep that charged fewer
-    than n evaluations; such a sweep's evaluations still count towards the
-    best but not as an iteration.  There is no iteration cap: a budget of
-    n*(t+1) runs exactly t sweeps.
+    ``sweeps(params, obj, budget, rng)`` starts the algorithm on the
+    trial's stream.  A budget below n skips the trial (no evaluation, no
+    best position).  Otherwise the loop stops once the best is within
+    ``stop_at`` of the known minimum, when the budget is spent, or after a
+    sweep that charged fewer than n evaluations; such a sweep's
+    evaluations still count towards the best but not as an iteration.
+    There is no iteration cap: a budget of n*(t+1) runs exactly t sweeps.
     The recorder receives one TrajectoryRecord per complete sweep, with a
     copy of its positions.  A ``stop_at`` that check_stop_at refuses
     raises ValueError.
@@ -98,9 +100,10 @@ def drive_trial(
     def tolerance_met(value: float) -> bool:
         return stop_at is not None and value - obj.known_min <= stop_at
 
+    n = params.n
     best_value, best_position, iterations = math.inf, None, 0
     if budget.remaining >= n:
-        trial = sweeps(RandomStream(seed))
+        trial = sweeps(params, obj, budget, RandomStream(seed))
         best_value, best_position, _ = next(trial)
         while not tolerance_met(best_value) and budget.remaining:
             used = budget.used

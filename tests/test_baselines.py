@@ -25,6 +25,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         PsoParams(c1=-0.1)
     with pytest.raises(ValueError):
+        GaParams(n=1)
+    with pytest.raises(ValueError):
         GaParams(p_mutation=1.5)
     with pytest.raises(ValueError):
         GaParams(p_crossover=-0.1)

@@ -256,6 +256,14 @@ def test_invalid_configuration_exits_2_before_any_trial(tmp_path, monkeypatch, c
          "max_evaluations must be positive"),
         (["run", "--algorithm", "pso", "--function", "dejong", "--tolerance", "inf"],
          "tolerance must be finite"),
+        (["run", "--algorithm", "pso", "--function", "dejong", "--tolerance", "-1"],
+         "tolerance must be >= 0"),
+        (["compare", "--functions", "dejong", "--algorithms", "pso,pso"],
+         "each algorithm and function may be named once"),
+        (["compare", "--functions", "dejong,ackley,dejong", "--algorithms", "bat"],
+         "each algorithm and function may be named once"),
+        (["compare", "--functions", "sphere,dejong_sphere", "--algorithms", "ga"],
+         "each algorithm and function may be named once"),
         (["run", "--algorithm", "ga", "--function", "dejong", "--trials", "0"], "trials must be >= 1"),
         (["run", "--algorithm", "bat", "--function", "dejong", "--workers", "0"], "workers must be >= 1"),
         # The second function's tolerance is refused before the first one's trials run.

@@ -49,6 +49,15 @@ def test_bounds_validation():
         Bounds(np.array([1.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         Bounds(np.array([np.nan]), np.array([1.0]))
+    with pytest.raises(ValueError, match="must be 1-D"):
+        Bounds(np.zeros((1, 2)), np.ones((1, 2)))
+    sphere = lambda x: float(x @ x)
+    with pytest.raises(ValueError, match="dim must be positive"):
+        Objective("o", 0, BOX2, sphere)
+    with pytest.raises(ValueError, match="bounds dimension"):
+        Objective("o", 3, BOX2, sphere)
+    with pytest.raises(ValueError, match="known_argmin dimension"):
+        Objective("o", 2, BOX2, sphere, 0.0, np.zeros(3))
     assert BOX2.dim == 2
     assert BOX2.width == pytest.approx([4.096, 4.096])
 

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from batbench import harness
 from batbench.benchmarks import benchmark_spec
 from batbench.core import Bounds, EvalBudget, Objective, counted_evaluate_rows, derive_seed, scores_rows
 from batbench.harness import (
@@ -94,17 +96,18 @@ def test_every_params_field_is_set_from_the_cli(algorithm):
 def test_drive_trial_counts_a_sweep_only_when_it_charged_n():
     # The sweeps never signal a cut: with n = 4 and a budget of 10 the
     # second sweep charges 2, ends the trial and is not an iteration.
-    obj = SPEC2.objective
     budget = EvalBudget(10)
     rows = np.zeros((4, 2))
 
-    def sweeps(rng):
+    def sweeps(params, obj, budget, rng):
         while True:
             counted_evaluate_rows(obj, rows, budget)
             yield 0.0, rows[0], rows
 
     records = []
-    result = drive_trial("toy", sweeps, 4, obj, 0, budget, recorder=records.append)
+    result = drive_trial(
+        "toy", sweeps, SimpleNamespace(n=4), SPEC2.objective, 0, budget, recorder=records.append
+    )
     assert result.iterations == 1
     assert [r.iteration for r in records] == [1]
     assert result.evaluations_used == budget.used == 10
@@ -112,12 +115,12 @@ def test_drive_trial_counts_a_sweep_only_when_it_charged_n():
 
 @pytest.mark.parametrize("algorithm", ["bat", "pso", "ga"])
 def test_runners_reject_an_undefined_tolerance(algorithm):
-    # Without a known minimum, or with a NaN tolerance, success cannot be
-    # decided; the runners raise before they evaluate anything.
+    # Without a known minimum, or with a NaN or negative tolerance, success
+    # cannot be decided; the runners raise before they evaluate anything.
     entry = ALGORITHMS[algorithm]
     params = entry.params(n=4)
     no_min = Objective("nomin", 2, Bounds.cube(-1.0, 1.0, 2), lambda x: float(x @ x))
-    for obj, stop_at in ((no_min, 1.0), (SPEC2.objective, math.nan)):
+    for obj, stop_at in ((no_min, 1.0), (SPEC2.objective, math.nan), (SPEC2.objective, -1.0)):
         budget = EvalBudget(40)
         with pytest.raises(ValueError):
             entry.run(params, obj, 0, budget, stop_at=stop_at)
@@ -204,6 +207,29 @@ def test_experiment_concurrency_invariance():
     s1 = experiment_trials(["bat"], SPEC2, 1e-2, 1_500, trials=6, master_seed=7, workers=1)
     s2 = experiment_trials(["bat"], SPEC2, 1e-2, 1_500, trials=6, master_seed=7, workers=3)
     assert s1 == s2
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_experiment_trials_calls_the_module_run_trial_once_per_trial(monkeypatch, workers):
+    # perfbench's traced pass replaces harness.run_trial; every trial must
+    # go through the name as it stands when the campaign runs.
+    calls = []
+
+    def counting(algorithm, spec, tolerance, max_evals, seed, params=None, recorder=None):
+        calls.append((algorithm, seed))
+        return run_trial(algorithm, spec, tolerance, max_evals, seed, params, recorder)
+
+    monkeypatch.setattr(harness, "run_trial", counting)
+    with pytest.raises(ValueError):
+        experiment_trials(["pso", "bat", "pso"], SPEC2, None, 80, trials=2, master_seed=9)
+    assert calls == []
+    by_algo = experiment_trials(["pso", "bat"], SPEC2, None, 80, trials=4, master_seed=9, workers=workers)
+    expected = [(algorithm, derive_seed(9, algorithm, k)) for algorithm in ("pso", "bat") for k in range(4)]
+    assert [(r.algorithm, r.seed) for rs in by_algo.values() for r in rs] == expected
+    if workers == 1:
+        assert calls == expected
+    else:  # the jobs go in in this order, but threads may enter their calls out of it
+        assert sorted(calls) == sorted(expected)
 
 
 def test_experiment_all_failures_reports_absent_markers():
