@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .baselines import GaParams, PsoParams, run_ga, run_pso
-from .bat import BatParams, BatState, run_bat
+from .baselines import GaParams, PsoParams
+from .bat import BatParams, BatState
 from .benchmarks import BenchmarkSpec, benchmark_spec, evaluate_benchmark, registry_names
 from .core import (
     Bounds,
@@ -20,6 +20,7 @@ from .harness import (
     ALGORITHMS,
     ExperimentSummary,
     TrialResult,
+    drive_trial,
     experiment_trials,
     run_trial,
     summarize,
@@ -45,12 +46,10 @@ __all__ = [
     "clamp_to_bounds",
     "counted_evaluate",
     "derive_seed",
+    "drive_trial",
     "evaluate_benchmark",
     "experiment_trials",
     "registry_names",
-    "run_bat",
-    "run_ga",
-    "run_pso",
     "run_trial",
     "summarize",
 ]

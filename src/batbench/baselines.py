@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,16 +19,16 @@ from .core import (
     EvalBudget,
     Objective,
     RandomStream,
+    Sweeps,
     clamp_to_bounds,
     counted_evaluate_rows,
 )
-from .results import Recorder, Sweeps, TrialResult, drive_trial
 
 __all__ = [
     "PsoParams",
     "GaParams",
-    "run_pso",
-    "run_ga",
+    "pso_sweeps",
+    "ga_sweeps",
     "GenerationDraws",
     "draw_generation",
 ]
@@ -83,7 +83,8 @@ def _initial_population(bounds: Bounds, n: int, rng: RandomStream) -> np.ndarray
     return bounds.lower + rng.uniform_vector(n * bounds.dim).reshape(n, bounds.dim) * bounds.width
 
 
-def _pso_sweeps(params: PsoParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:
+def pso_sweeps(params: PsoParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:
+    """Global-best PSO: v <- I v + c1 u1 (pbest - x) + c2 u2 (gbest - x)."""
     n, d = params.n, obj.dim
     bounds = obj.bounds
     x = _initial_population(bounds, n, rng)
@@ -114,18 +115,6 @@ def _pso_sweeps(params: PsoParams, obj: Objective, budget: EvalBudget, rng: Rand
         if values[g] < gbest_val:
             gbest_val = float(values[g])
             gbest = x[g].copy()
-
-
-def run_pso(
-    params: PsoParams,
-    obj: Objective,
-    seed: int,
-    budget: EvalBudget,
-    stop_at: Optional[float] = None,
-    recorder: Optional[Recorder] = None,
-) -> TrialResult:
-    """Global-best PSO: v <- I v + c1 u1 (pbest - x) + c2 u2 (gbest - x)."""
-    return drive_trial("pso", _pso_sweeps, params, obj, seed, budget, stop_at, recorder)
 
 
 class GenerationDraws(NamedTuple):
@@ -177,7 +166,13 @@ def draw_generation(
     return GenerationDraws(picks, crossed, take_u < 0.5, mutate_u < p_mutation, steps)
 
 
-def _ga_sweeps(params: GaParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:
+def ga_sweeps(params: GaParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:
+    """Generational GA: rank-weighted roulette selection, uniform crossover,
+    per-gene Gaussian mutation (sigma = 10% of range), full replacement.
+
+    No elitism: the best-ever individual is tracked for reporting only and
+    is never reinserted.
+    """
     n, d = params.n, obj.dim
     paired = 2 * (n // 2)
     bounds = obj.bounds
@@ -214,19 +209,3 @@ def _ga_sweeps(params: GaParams, obj: Objective, budget: EvalBudget, rng: Random
         pop = offspring
         values = new_values
 
-
-def run_ga(
-    params: GaParams,
-    obj: Objective,
-    seed: int,
-    budget: EvalBudget,
-    stop_at: Optional[float] = None,
-    recorder: Optional[Recorder] = None,
-) -> TrialResult:
-    """Generational GA: rank-weighted roulette selection, uniform crossover,
-    per-gene Gaussian mutation (sigma = 10% of range), full replacement.
-
-    No elitism: the best-ever individual is tracked for reporting only and
-    is never reinserted.
-    """
-    return drive_trial("ga", _ga_sweeps, params, obj, seed, budget, stop_at, recorder)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,12 +27,12 @@ from .core import (
     EvalBudget,
     Objective,
     RandomStream,
+    Sweeps,
     Vector,
     clamp_to_bounds,
     counted_evaluate_rows,
     counted_values,
 )
-from .results import Recorder, Sweeps, TrialResult, drive_trial
 
 __all__ = [
     "BatParams",
@@ -44,7 +43,7 @@ __all__ = [
     "average_loudness",
     "accept",
     "bat_step",
-    "run_bat",
+    "bat_sweeps",
 ]
 
 
@@ -249,25 +248,9 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
     return state
 
 
-def _sweeps(params: BatParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:
+def bat_sweeps(params: BatParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:
+    """The bat algorithm: init_bats, then one bat_step per sweep."""
     state = init_bats(params, obj, rng, budget)
     while True:
         yield state.best_value, state.best_position, state.positions
         bat_step(state, params, obj)
-
-
-def run_bat(
-    params: BatParams,
-    obj: Objective,
-    seed: int,
-    budget: EvalBudget,
-    stop_at: Optional[float] = None,
-    recorder: Optional[Recorder] = None,
-) -> TrialResult:
-    """Full trial: init, then sweep until the tolerance is met or the budget
-    is spent.
-
-    When a recorder is supplied it receives one TrajectoryRecord per
-    completed iteration (all n positions plus the running best value).
-    """
-    return drive_trial("bat", _sweeps, params, obj, seed, budget, stop_at, recorder)

@@ -154,21 +154,17 @@ def _cmd_list(_: argparse.Namespace) -> int:
 def _campaign(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> tuple[str, list]:
     """The resolved config and, per function, every algorithm's trials.
 
-    Names are looked up first and must not repeat (an alias repeats its
-    function), then the params are built, then each spec's campaign is
-    checked, so errors are reported in that order before any trial runs.
-    experiment_trials repeats its own spec's check for library callers;
-    the one here is what refuses a later function before an earlier one's
-    trials run.  A failure in a trial is a runtime one.
+    Every function is looked up and sized, then check_campaign checks the
+    whole campaign, then the params are built; every error is raised
+    before any trial runs.  In a command with two errors the earlier step
+    reports: an unknown function or a bad --dim before an unknown
+    algorithm, and a bad setting before a bad params flag.
+    experiment_trials repeats its own spec's check for library callers.
+    A failure in a trial is a runtime one.
     """
-    for algorithm in algorithms:
-        lookup_algorithm(algorithm)
     specs = [benchmark_spec(name, args.dim) for name in functions]
-    if len(set(algorithms)) < len(algorithms) or len({s.objective.name for s in specs}) < len(specs):
-        raise ValueError("each algorithm and function may be named once")
+    check_campaign(algorithms, specs, args.tolerance, args.max_evals, args.trials, args.workers)
     params_by_algorithm = _build_params(args, algorithms)
-    for spec in specs:
-        check_campaign(spec, args.tolerance, args.max_evals, args.trials, args.workers)
     with _trials_running():
         campaigns = [
             experiment_trials(

@@ -27,6 +27,12 @@ __all__ = [
 # A point/velocity is a plain 1-D float64 ndarray throughout the package.
 Vector = np.ndarray
 
+# What an algorithm's sweep generator yields: (best value, best position,
+# positions) after initialisation and after each sweep.  A sweep only
+# reports: the trial driver starts one only while budget is left, and
+# decides whether it counts.
+Sweeps = Iterator[tuple[float, Vector, np.ndarray]]
+
 
 class BudgetExceededError(RuntimeError):
     """Raised when an evaluation is requested after the budget is spent.

@@ -1,4 +1,5 @@
-"""Seeded experiment protocol: multi-trial campaigns and their statistics.
+"""Seeded experiment protocol: the algorithm registry, the trial loop all
+algorithms share, multi-trial campaigns and their statistics.
 
 Success means reaching the tolerance band around the known minimum before
 the evaluation budget runs out; the comparison metric is the evaluation
@@ -9,16 +10,18 @@ rate is reported separately over all trials.
 
 from __future__ import annotations
 
+import math
 import statistics
+import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .baselines import GaParams, PsoParams, run_ga, run_pso
-from .bat import BatParams, run_bat
+from .baselines import GaParams, PsoParams, ga_sweeps, pso_sweeps
+from .bat import BatParams, bat_sweeps
 from .benchmarks import BenchmarkSpec
-from .core import EvalBudget, TrajectoryRecord, derive_seed
-from .results import ExperimentSummary, Recorder, TrialResult, check_stop_at
+from .core import EvalBudget, Objective, RandomStream, Sweeps, TrajectoryRecord, derive_seed
 
 __all__ = [
     "ALGORITHMS",
@@ -27,6 +30,9 @@ __all__ = [
     "TrialResult",
     "ExperimentSummary",
     "TrajectoryRecord",
+    "Recorder",
+    "check_stop_at",
+    "drive_trial",
     "lookup_algorithm",
     "default_params",
     "run_trial",
@@ -36,34 +42,73 @@ __all__ = [
 ]
 
 AlgorithmParams = BatParams | PsoParams | GaParams
+Recorder = Callable[[TrajectoryRecord], None]
 
 
 class Algorithm(NamedTuple):
     """An optimizer: its params class, whose field defaults are the
-    algorithm's defaults; its runner; and the params field each CLI flag sets."""
+    algorithm's defaults; its sweep generator, which drive_trial runs; and
+    the params field each CLI flag sets."""
 
     params: type
-    run: Callable[..., TrialResult]
+    sweeps: Callable[..., Sweeps]
     flags: dict[str, str]
 
 
 ALGORITHMS = {
     "bat": Algorithm(
         BatParams,
-        run_bat,
+        bat_sweeps,
         {"alpha": "alpha", "gamma": "gamma", "fmin": "f_min", "fmax": "f_max"},
     ),
     "pso": Algorithm(
         PsoParams,
-        run_pso,
+        pso_sweeps,
         {"c1": "c1", "c2": "c2", "inertia": "inertia"},
     ),
     "ga": Algorithm(
         GaParams,
-        run_ga,
+        ga_sweeps,
         {"pm": "p_mutation", "pc": "p_crossover"},
     ),
 }
+
+
+@dataclass(frozen=True)
+class TrialResult:
+    """Outcome of one seeded run of one algorithm on one objective.
+
+    ``wall_time`` is excluded from equality so that two runs with the same
+    seed compare equal field-for-field, as the determinism contract
+    requires.
+    """
+
+    algorithm: str
+    function: str
+    dim: int
+    seed: int
+    evaluations_used: int
+    success: bool
+    best_value: float
+    iterations: int
+    best_position: Optional[tuple[float, ...]] = None
+    wall_time: float = field(default=0.0, compare=False)
+
+
+@dataclass(frozen=True)
+class ExperimentSummary:
+    """Aggregate over one algorithm's trials.
+
+    mean/std are computed over *successful* trials only (failed trials
+    have no evaluations-to-success count); they are None when no trial
+    (mean) or fewer than two trials (std) succeeded.  success_rate is
+    over all trials.
+    """
+
+    mean_evals: Optional[float]
+    std_evals: Optional[float]
+    success_rate: float
+    trial_count: int
 
 
 class UnknownAlgorithmError(KeyError):
@@ -82,6 +127,74 @@ def default_params(name: str) -> AlgorithmParams:
     return lookup_algorithm(name).params()
 
 
+def check_stop_at(stop_at: Optional[float], obj: Objective) -> None:
+    """ValueError for a tolerance that is not finite, one below zero, or one
+    on an objective without a known minimum to measure it from."""
+    if stop_at is not None and not math.isfinite(stop_at):
+        raise ValueError("tolerance must be finite")
+    if stop_at is not None and stop_at < 0:
+        raise ValueError("tolerance must be >= 0")
+    if stop_at is not None and obj.known_min is None:
+        raise ValueError(f"{obj.name} has no known minimum; tolerance-based success is undefined")
+
+
+def drive_trial(
+    algorithm: str,
+    sweeps: Callable[..., Sweeps],
+    params,
+    obj: Objective,
+    seed: int,
+    budget: EvalBudget,
+    stop_at: Optional[float] = None,
+    recorder: Optional[Recorder] = None,
+) -> TrialResult:
+    """One trial: initialise params.n agents, then sweep until a stop.  This
+    is the one function that decides every stop.
+
+    ``sweeps(params, obj, budget, rng)`` starts the algorithm on the
+    trial's stream.  A budget below n skips the trial (no evaluation, no
+    best position).  Otherwise the loop stops once the best is within
+    ``stop_at`` of the known minimum, when the budget is spent, or after a
+    sweep that charged fewer than n evaluations; such a sweep's
+    evaluations still count towards the best but not as an iteration.
+    There is no iteration cap: a budget of n*(t+1) runs exactly t sweeps.
+    The recorder receives one TrajectoryRecord per complete sweep, with a
+    copy of its positions.  A ``stop_at`` that check_stop_at refuses
+    raises ValueError.
+    """
+    check_stop_at(stop_at, obj)
+    start = time.perf_counter()
+
+    def tolerance_met(value: float) -> bool:
+        return stop_at is not None and value - obj.known_min <= stop_at
+
+    n = params.n
+    best_value, best_position, iterations = math.inf, None, 0
+    if budget.remaining >= n:
+        trial = sweeps(params, obj, budget, RandomStream(seed))
+        best_value, best_position, _ = next(trial)
+        while not tolerance_met(best_value) and budget.remaining:
+            used = budget.used
+            best_value, best_position, positions = next(trial)
+            if budget.used - used < n:
+                break
+            iterations += 1
+            if recorder is not None:
+                recorder(TrajectoryRecord(iterations, positions.copy(), best_value))
+    return TrialResult(
+        algorithm=algorithm,
+        function=obj.name,
+        dim=obj.dim,
+        seed=seed,
+        evaluations_used=budget.used,
+        success=tolerance_met(best_value),
+        best_value=best_value,
+        iterations=iterations,
+        best_position=None if best_position is None else tuple(float(v) for v in best_position),
+        wall_time=time.perf_counter() - start,
+    )
+
+
 def run_trial(
     algorithm: str,
     spec: BenchmarkSpec,
@@ -95,23 +208,35 @@ def run_trial(
     entry = lookup_algorithm(algorithm)
     if params is None:
         params = entry.params()
-    return entry.run(
-        params, spec.objective, seed, EvalBudget(max_evals), stop_at=tolerance, recorder=recorder
+    return drive_trial(
+        algorithm, entry.sweeps, params, spec.objective, seed, EvalBudget(max_evals), tolerance, recorder
     )
 
 
 def check_campaign(
-    spec: BenchmarkSpec, tolerance: Optional[float], max_evals: int, trials: int, workers: int
+    algorithms: Sequence[str],
+    specs: Sequence[BenchmarkSpec],
+    tolerance: Optional[float],
+    max_evals: int,
+    trials: int,
+    workers: int,
 ) -> None:
-    """ValueError for a campaign that cannot run, raised before any trial
-    starts: fewer than one trial or worker, a budget below one evaluation,
-    or a tolerance that check_stop_at refuses."""
+    """Refuse a campaign that cannot run, before any trial starts, in this
+    order: an unknown algorithm (UnknownAlgorithmError); then, as
+    ValueError, an algorithm or function named twice (an alias repeats its
+    function), fewer than one trial or worker, a budget below one
+    evaluation, or a tolerance that check_stop_at refuses on a spec."""
+    for algorithm in algorithms:
+        lookup_algorithm(algorithm)
+    if len(set(algorithms)) < len(algorithms) or len({s.objective.name for s in specs}) < len(specs):
+        raise ValueError("each algorithm and function may be named once")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     EvalBudget(max_evals)
-    check_stop_at(tolerance, spec.objective)
+    for spec in specs:
+        check_stop_at(tolerance, spec.objective)
 
 
 def experiment_trials(
@@ -128,15 +253,11 @@ def experiment_trials(
 
     Trial k of each algorithm runs with the seed derived from
     (master_seed, algorithm, k), so results do not depend on `workers`.
-    The settings are checked by check_campaign first; an algorithm named
-    twice is a ValueError.  Each trial is a call of the module's run_trial,
-    looked up when the campaign starts.
+    The campaign is checked by check_campaign first, so an algorithm
+    named twice is a ValueError.  Each trial is a call of the module's
+    run_trial, looked up when the campaign starts.
     """
-    check_campaign(spec, tolerance, max_evals, trials, workers)
-    for algorithm in algorithms:
-        lookup_algorithm(algorithm)
-    if len(set(algorithms)) < len(algorithms):
-        raise ValueError("each algorithm may be named once")
+    check_campaign(algorithms, [spec], tolerance, max_evals, trials, workers)
 
     # One column per run_trial argument, one row per trial, algorithm-major.
     names = [algorithm for algorithm in algorithms for _ in range(trials)]

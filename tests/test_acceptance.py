@@ -31,12 +31,11 @@ from batbench import (
     evaluate_benchmark,
     run_trial,
 )
-from batbench.bat import BatState, accept
-from batbench.baselines import run_ga, run_pso
-from batbench.bat import run_bat
+from batbench.bat import BatState, accept, bat_sweeps
+from batbench.baselines import ga_sweeps, pso_sweeps
 from batbench.cli import run_cli
 from batbench.core import RandomStream
-from batbench.harness import experiment_trials, summarize
+from batbench.harness import drive_trial, experiment_trials, summarize
 from oracles import (
     CallCounter,
     reference_bat,
@@ -305,16 +304,16 @@ def test_criterion_7_evaluation_accounting():
     start = time.perf_counter()
     spec = benchmark_spec("dejong_sphere", 2)
     failures = []
-    for algo, runner, params in (
-        ("bat", run_bat, BatParams(n=20)),
-        ("pso", run_pso, PsoParams(n=20)),
-        ("ga", run_ga, GaParams(n=20)),
+    for algo, sweeps, params in (
+        ("bat", bat_sweeps, BatParams(n=20)),
+        ("pso", pso_sweeps, PsoParams(n=20)),
+        ("ga", ga_sweeps, GaParams(n=20)),
     ):
         for stop_at, max_evals in ((None, 20 * 26), (1.0, 20 * 200)):
             counter = CallCounter(spec.objective.fn)
             obj = Objective("sphere", 2, spec.objective.bounds, counter, 0.0, np.zeros(2))
             budget = EvalBudget(max_evals)
-            result = runner(params, obj, 17, budget, stop_at=stop_at)
+            result = drive_trial(algo, sweeps, params, obj, 17, budget, stop_at=stop_at)
             expected = 20 + 20 * result.iterations
             if not (result.evaluations_used == expected == counter.calls):
                 failures.append(

@@ -9,11 +9,12 @@ from batbench.baselines import (
     PsoParams,
     _initial_population,
     draw_generation,
-    run_ga,
-    run_pso,
+    ga_sweeps,
+    pso_sweeps,
 )
 from batbench.benchmarks import benchmark_spec
 from batbench.core import Bounds, EvalBudget, Objective, RandomStream, derive_seed
+from batbench.harness import drive_trial
 from oracles import CallCounter, reference_ga, reference_pso
 
 SPHERE2 = benchmark_spec("dejong_sphere", 2).objective
@@ -39,7 +40,7 @@ def test_pso_gbest_particle_is_stationary():
     flat = Objective("flat", 2, Bounds.cube(-1.0, 1.0, 2), lambda x: 1.0, known_min=1.0)
     records = []
     params = PsoParams(n=5)
-    run_pso(params, flat, 7, EvalBudget(5 * 11), recorder=records.append)
+    drive_trial("pso", pso_sweeps, params, flat, 7, EvalBudget(5 * 11), recorder=records.append)
     first = records[0].positions
     # recover the gbest index: with strict-improvement updates it is particle 0's
     # initial argmin; any stationary row works for the check
@@ -56,7 +57,7 @@ def test_pso_monotone_best_and_accounting():
     obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0, np.zeros(2))
     records = []
     budget = EvalBudget(8 * 51)
-    result = run_pso(params, obj, 3, budget, recorder=records.append)
+    result = drive_trial("pso", pso_sweeps, params, obj, 3, budget, recorder=records.append)
     assert result.evaluations_used == counter.calls == 8 + 8 * result.iterations
     best = [rec.best_value for rec in records]
     assert best == sorted(best, reverse=True)
@@ -66,8 +67,8 @@ def test_pso_monotone_best_and_accounting():
 
 def test_pso_deterministic():
     params = PsoParams(n=6)
-    r1 = run_pso(params, SPHERE2, 42, EvalBudget(6 * 21))
-    r2 = run_pso(params, SPHERE2, 42, EvalBudget(6 * 21))
+    r1 = drive_trial("pso", pso_sweeps, params, SPHERE2, 42, EvalBudget(6 * 21))
+    r2 = drive_trial("pso", pso_sweeps, params, SPHERE2, 42, EvalBudget(6 * 21))
     assert r1 == r2
 
 
@@ -76,7 +77,8 @@ def test_pso_sphere_d2_reaches_tolerance():
     params = PsoParams()
     successes = 0
     for k in range(100):
-        r = run_pso(params, SPHERE2, derive_seed(20, "pso", k), EvalBudget(20_000), stop_at=1e-5)
+        seed = derive_seed(20, "pso", k)
+        r = drive_trial("pso", pso_sweeps, params, SPHERE2, seed, EvalBudget(20_000), stop_at=1e-5)
         successes += r.success
     assert successes >= 90
 
@@ -84,7 +86,7 @@ def test_pso_sphere_d2_reaches_tolerance():
 def test_pso_budget_not_multiple_of_population():
     params = PsoParams(n=8)
     budget = EvalBudget(8 + 3 * 8 + 5)
-    result = run_pso(params, SPHERE2, 9, budget)
+    result = drive_trial("pso", pso_sweeps, params, SPHERE2, 9, budget)
     assert result.evaluations_used == budget.max_evaluations
     assert result.iterations == 3
 
@@ -92,7 +94,7 @@ def test_pso_budget_not_multiple_of_population():
 def test_ga_population_size_constant():
     params = GaParams(n=10)
     records = []
-    run_ga(params, SPHERE2, 5, EvalBudget(10 * 9), recorder=records.append)
+    drive_trial("ga", ga_sweeps, params, SPHERE2, 5, EvalBudget(10 * 9), recorder=records.append)
     assert len(records) == 8
     for rec in records:
         assert rec.positions.shape == (10, 2)
@@ -102,9 +104,9 @@ def test_ga_degenerate_operators_copy_parents():
     params = GaParams(n=12, p_mutation=0.0, p_crossover=0.0)
     records = []
     rng = RandomStream(17)
-    # regenerate the initial population exactly as run_ga draws it
+    # regenerate the initial population exactly as ga_sweeps draws it
     init = _initial_population(SPHERE2.bounds, 12, rng)
-    run_ga(params, SPHERE2, 17, EvalBudget(12 * 2), recorder=records.append)
+    drive_trial("ga", ga_sweeps, params, SPHERE2, 17, EvalBudget(12 * 2), recorder=records.append)
     offspring = records[0].positions
     for row in offspring:
         assert any(np.array_equal(row, parent) for parent in init)
@@ -116,7 +118,8 @@ def test_ga_progress_on_sphere():
     at_1k, at_10k = [], []
     for k in range(100):
         records = []
-        run_ga(params, SPHERE2, derive_seed(30, "ga", k), EvalBudget(10_000), recorder=records.append)
+        seed = derive_seed(30, "ga", k)
+        drive_trial("ga", ga_sweeps, params, SPHERE2, seed, EvalBudget(10_000), recorder=records.append)
         early = [rec.best_value for rec in records if 40 + 40 * rec.iteration <= 1_000]
         at_1k.append(early[-1])
         at_10k.append(records[-1].best_value)
@@ -126,7 +129,7 @@ def test_ga_progress_on_sphere():
 def test_ga_best_ever_monotone_without_elitism():
     params = GaParams(n=10)
     records = []
-    run_ga(params, SPHERE2, 23, EvalBudget(10 * 61), recorder=records.append)
+    drive_trial("ga", ga_sweeps, params, SPHERE2, 23, EvalBudget(10 * 61), recorder=records.append)
     best = [rec.best_value for rec in records]
     assert best == sorted(best, reverse=True)
     population_minima = [min(SPHERE2(p) for p in rec.positions) for rec in records]
@@ -139,14 +142,14 @@ def test_ga_accounting_with_counter_oracle():
     counter = CallCounter(SPHERE2.fn)
     obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0, np.zeros(2))
     budget = EvalBudget(10 * 26)
-    result = run_ga(params, obj, 3, budget)
+    result = drive_trial("ga", ga_sweeps, params, obj, 3, budget)
     assert result.evaluations_used == counter.calls == 10 + 10 * result.iterations
 
 
 def test_ga_deterministic():
     params = GaParams(n=8)
-    r1 = run_ga(params, SPHERE2, 99, EvalBudget(8 * 16))
-    r2 = run_ga(params, SPHERE2, 99, EvalBudget(8 * 16))
+    r1 = drive_trial("ga", ga_sweeps, params, SPHERE2, 99, EvalBudget(8 * 16))
+    r2 = drive_trial("ga", ga_sweeps, params, SPHERE2, 99, EvalBudget(8 * 16))
     assert r1 == r2
 
 
@@ -170,8 +173,8 @@ def test_operator_rates_over_1e5_offspring():
 
 
 def test_baselines_budget_below_population():
-    assert not run_pso(PsoParams(), SPHERE2, 1, EvalBudget(10), stop_at=1e-5).success
-    assert not run_ga(GaParams(), SPHERE2, 1, EvalBudget(10), stop_at=1e-5).success
+    assert not drive_trial("pso", pso_sweeps, PsoParams(), SPHERE2, 1, EvalBudget(10), stop_at=1e-5).success
+    assert not drive_trial("ga", ga_sweeps, GaParams(), SPHERE2, 1, EvalBudget(10), stop_at=1e-5).success
 
 
 @settings(max_examples=40, deadline=None)
@@ -188,14 +191,18 @@ def test_rows_and_point_calls_agree_and_charge_exactly(algorithm, n, sweeps, dat
     # give the same trial.
     cut = data.draw(st.integers(1, n - 1), label="cut")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    run, params = {"pso": (run_pso, PsoParams(n=n)), "ga": (run_ga, GaParams(n=n))}[algorithm]
+    generator, params = {"pso": (pso_sweeps, PsoParams(n=n)), "ga": (ga_sweeps, GaParams(n=n))}[algorithm]
     rastrigin = benchmark_spec("rastrigin", 3).objective
     counter = CallCounter(rastrigin.fn)
     wrapped = dataclasses.replace(rastrigin, fn=counter)
     max_evals = n + sweeps * n + cut
     by_rows, by_points = [], []
-    rows = run(params, rastrigin, seed, EvalBudget(max_evals), recorder=by_rows.append)
-    points = run(params, wrapped, seed, EvalBudget(max_evals), recorder=by_points.append)
+    rows = drive_trial(
+        algorithm, generator, params, rastrigin, seed, EvalBudget(max_evals), recorder=by_rows.append
+    )
+    points = drive_trial(
+        algorithm, generator, params, wrapped, seed, EvalBudget(max_evals), recorder=by_points.append
+    )
     assert rows == points
     assert rows.evaluations_used == counter.calls == max_evals
     assert rows.iterations == sweeps
@@ -211,9 +218,9 @@ def test_baselines_equal_reference_on_cut_sweeps(algorithm, function, dim):
     # counts towards the best but not as an iteration.  Each budget runs with
     # the default constants and with non-default ones, so a regrouping that
     # scaling by a default (c1 = c2 = 2, inertia 1) would leave exact is caught.
-    run, params_cls, reference, knobs = {
-        "pso": (run_pso, PsoParams, reference_pso, {"inertia": 0.729, "c1": 1.49445, "c2": 1.7}),
-        "ga": (run_ga, GaParams, reference_ga, {"p_mutation": 0.2, "p_crossover": 0.6}),
+    sweeps, params_cls, reference, knobs = {
+        "pso": (pso_sweeps, PsoParams, reference_pso, {"inertia": 0.729, "c1": 1.49445, "c2": 1.7}),
+        "ga": (ga_sweeps, GaParams, reference_ga, {"p_mutation": 0.2, "p_crossover": 0.6}),
     }[algorithm]
     obj = benchmark_spec(function, dim).objective
     for k in (0, 1, 12):
@@ -221,7 +228,8 @@ def test_baselines_equal_reference_on_cut_sweeps(algorithm, function, dim):
             for seed in (0, 1):
                 for overrides in ({}, knobs):
                     max_evals = 40 + k * 40 + r
-                    result = run(params_cls(**overrides), obj, seed, EvalBudget(max_evals))
+                    params = params_cls(**overrides)
+                    result = drive_trial(algorithm, sweeps, params, obj, seed, EvalBudget(max_evals))
                     ref = reference(obj, seed, max_evals, **overrides)
                     assert result.best_value == ref.best_value, overrides
                     assert result.best_position == ref.best_position, overrides

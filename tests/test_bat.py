@@ -10,13 +10,14 @@ from batbench.bat import (
     accept,
     average_loudness,
     bat_step,
+    bat_sweeps,
     global_move,
     init_bats,
     local_walk,
-    run_bat,
 )
 from batbench.benchmarks import benchmark_spec
 from batbench.core import BudgetExceededError, Bounds, EvalBudget, Objective, RandomStream, scores_rows
+from batbench.harness import drive_trial
 from oracles import CallCounter, reference_bat
 
 WIDE = Bounds.cube(-1e6, 1e6, 1)
@@ -253,7 +254,7 @@ def test_run_accounting_and_bounds_sweep():
     obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0, np.zeros(2))
     budget = EvalBudget(10 * 31)
     records = []
-    result = run_bat(params, obj, 21, budget, recorder=records.append)
+    result = drive_trial("bat", bat_sweeps, params, obj, 21, budget, recorder=records.append)
     assert result.evaluations_used == counter.calls
     assert result.evaluations_used == 10 + 10 * result.iterations
     assert result.iterations == 30
@@ -280,8 +281,10 @@ def test_marked_objective_gives_the_unmarked_trial_and_charges_only_used_values(
     counter = CallCounter(rastrigin.fn)
     params = BatParams(n=20)
     limit = 20 + 20 * 30 + 7
-    rows = run_bat(params, dataclasses.replace(rastrigin, fn=marked), 5, EvalBudget(limit))
-    points = run_bat(params, dataclasses.replace(rastrigin, fn=counter), 5, EvalBudget(limit))
+    marked_obj = dataclasses.replace(rastrigin, fn=marked)
+    counted_obj = dataclasses.replace(rastrigin, fn=counter)
+    rows = drive_trial("bat", bat_sweeps, params, marked_obj, 5, EvalBudget(limit))
+    points = drive_trial("bat", bat_sweeps, params, counted_obj, 5, EvalBudget(limit))
     assert rows == points
     assert counter.calls == points.evaluations_used == limit
     assert sum(rows_per_call) >= rows.evaluations_used
@@ -289,7 +292,7 @@ def test_marked_objective_gives_the_unmarked_trial_and_charges_only_used_values(
 
 
 def _final_swarm(params, seed, budget):
-    """The swarm run_bat ends with when no tolerance is set: sweeps until
+    """The swarm a bat trial ends with when no tolerance is set: sweeps until
     the budget is spent; a sweep the budget cuts short spends what is left."""
     state = init_bats(params, SPHERE2, RandomStream(seed), budget)
     while budget.remaining:
@@ -320,15 +323,15 @@ def test_zero_frequency_zero_velocity_improves_only_via_local_walk():
         assert np.array_equal(v, np.zeros(2))
     records = []
     budget2 = EvalBudget(10 * 51)
-    run_bat(params, SPHERE2, 5, budget2, recorder=records.append)
+    drive_trial("bat", bat_sweeps, params, SPHERE2, 5, budget2, recorder=records.append)
     assert records[-1].best_value < records[0].best_value
 
 
 def test_run_bat_deterministic_trials_and_trajectories():
     params = BatParams(n=9)
     rec1, rec2 = [], []
-    r1 = run_bat(params, SPHERE2, 77, EvalBudget(9 * 26), recorder=rec1.append)
-    r2 = run_bat(params, SPHERE2, 77, EvalBudget(9 * 26), recorder=rec2.append)
+    r1 = drive_trial("bat", bat_sweeps, params, SPHERE2, 77, EvalBudget(9 * 26), recorder=rec1.append)
+    r2 = drive_trial("bat", bat_sweeps, params, SPHERE2, 77, EvalBudget(9 * 26), recorder=rec2.append)
     assert r1 == r2  # wall_time excluded from comparison
     assert len(rec1) == len(rec2)
     for a, b in zip(rec1, rec2):
@@ -340,7 +343,7 @@ def test_run_bat_deterministic_trials_and_trajectories():
 def test_run_bat_stops_at_tolerance_with_iteration_granularity():
     params = BatParams(n=10)
     budget = EvalBudget(20_000)
-    result = run_bat(params, SPHERE2, 3, budget, stop_at=1.0)
+    result = drive_trial("bat", bat_sweeps, params, SPHERE2, 3, budget, stop_at=1.0)
     assert result.success
     assert result.best_value <= 1.0
     assert result.evaluations_used == 10 + 10 * result.iterations
@@ -352,7 +355,7 @@ def test_run_bat_budget_below_init_cost():
     with pytest.raises(BudgetExceededError):
         init_bats(params, SPHERE2, RandomStream(1), EvalBudget(10))
     budget = EvalBudget(10)
-    result = run_bat(params, SPHERE2, 1, budget, stop_at=1e-5)
+    result = drive_trial("bat", bat_sweeps, params, SPHERE2, 1, budget, stop_at=1e-5)
     assert not result.success
     assert result.evaluations_used == 0
     assert result.iterations == 0
@@ -361,7 +364,7 @@ def test_run_bat_budget_below_init_cost():
 def test_run_bat_partial_iteration_on_odd_budget():
     params = BatParams(n=40)
     budget = EvalBudget(40 + 2 * 40 + 15)
-    result = run_bat(params, SPHERE2, 13, budget)
+    result = drive_trial("bat", bat_sweeps, params, SPHERE2, 13, budget)
     swarm_budget = EvalBudget(budget.max_evaluations)
     state = _final_swarm(params, 13, swarm_budget)
     assert swarm_budget.remaining == 0
@@ -416,7 +419,8 @@ def test_run_bat_equals_reference_on_small_swarms_and_cut_sweeps(function, dim):
     cases += [(n, k * n + r) for n in (2, 3, 7, 40) for k in (0, 1, 12) for r in sorted({1, n - 1})]
     for seed, (n, extra) in enumerate(cases):
         for knobs in ({}, {"f_min": 0.5, "f_max": 2.0, "alpha": 0.95, "gamma": 0.3}):
-            result = run_bat(BatParams(n=n, **knobs), obj, seed, EvalBudget(n + extra))
+            params = BatParams(n=n, **knobs)
+            result = drive_trial("bat", bat_sweeps, params, obj, seed, EvalBudget(n + extra))
             ref = reference_bat(obj, seed, n + extra, n=n, **knobs)
             assert result.best_value == ref.best_value, knobs
             assert result.best_position == ref.best_position, knobs

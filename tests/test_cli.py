@@ -266,6 +266,8 @@ def test_invalid_configuration_exits_2_before_any_trial(tmp_path, monkeypatch, c
          "each algorithm and function may be named once"),
         (["run", "--algorithm", "ga", "--function", "dejong", "--trials", "0"], "trials must be >= 1"),
         (["run", "--algorithm", "bat", "--function", "dejong", "--workers", "0"], "workers must be >= 1"),
+        (["compare", "--functions", ",", "--algorithms", "bat"], "need at least one algorithm and one function"),
+        (["trace", "--algorithm", "bat", "--function", "dejong", "--iters", "0"], "--iters must be >= 1"),
         # The second function's tolerance is refused before the first one's trials run.
         (["compare", "--functions", "dejong,michalewicz", "--dim", "16", "--tolerance", "0.1"],
          "michalewicz has no known minimum; tolerance-based success is undefined"),

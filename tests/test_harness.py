@@ -1,5 +1,8 @@
+import ast
 import dataclasses
+import importlib
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,11 +17,11 @@ from batbench.harness import (
     UnknownAlgorithmError,
     ExperimentSummary,
     TrialResult,
+    drive_trial,
     experiment_trials,
     run_trial,
     summarize,
 )
-from batbench.results import drive_trial
 from oracles import welford
 
 SPEC2 = benchmark_spec("dejong_sphere", 2)
@@ -116,14 +119,15 @@ def test_drive_trial_counts_a_sweep_only_when_it_charged_n():
 @pytest.mark.parametrize("algorithm", ["bat", "pso", "ga"])
 def test_runners_reject_an_undefined_tolerance(algorithm):
     # Without a known minimum, or with a NaN or negative tolerance, success
-    # cannot be decided; the runners raise before they evaluate anything.
+    # cannot be decided; each algorithm's trial raises before it evaluates
+    # anything.
     entry = ALGORITHMS[algorithm]
     params = entry.params(n=4)
     no_min = Objective("nomin", 2, Bounds.cube(-1.0, 1.0, 2), lambda x: float(x @ x))
     for obj, stop_at in ((no_min, 1.0), (SPEC2.objective, math.nan), (SPEC2.objective, -1.0)):
         budget = EvalBudget(40)
         with pytest.raises(ValueError):
-            entry.run(params, obj, 0, budget, stop_at=stop_at)
+            drive_trial(algorithm, entry.sweeps, params, obj, 0, budget, stop_at=stop_at)
         assert budget.used == 0
 
 
@@ -251,3 +255,31 @@ def test_trial_result_success_invariant():
         if r.success:
             assert r.best_value - SPEC2.objective.known_min <= 1e-2
         assert r.evaluations_used <= 4_000
+
+
+def _imports(path):
+    """(level, module) of every import in a source file; level 0 is absolute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            found.append((node.level, node.module or ""))
+        elif isinstance(node, ast.Import):
+            found += [(0, alias.name) for alias in node.names]
+    return found
+
+
+def test_modules_import_in_layers_and_the_references_share_no_code():
+    # core imports nothing from the package, and the algorithms and the
+    # benchmark registry import only core: the registry in harness is the
+    # one place that joins them.  The references share no code with the
+    # package, so agreeing with them checks the package's rules.
+    sources = Path(harness.__file__).parent.glob("*.py")
+    relative = {path.stem: {module for level, module in _imports(path) if level} for path in sources}
+    assert relative["core"] == set()
+    for name in ("bat", "baselines", "benchmarks"):
+        assert relative[name] == {"core"}, name
+    for name in relative:
+        module = importlib.import_module("batbench" if name == "__init__" else f"batbench.{name}")
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
+    oracles = Path(__file__).with_name("oracles.py")
+    assert [m for _, m in _imports(oracles) if m.split(".")[0] == "batbench"] == []
