@@ -159,17 +159,17 @@ def _campaign(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> 
     before any trial runs.  In a command with two errors the earlier step
     reports: an unknown function or a bad --dim before an unknown
     algorithm, and a bad setting before a bad params flag.
-    experiment_trials repeats its own spec's check for library callers.
+    experiment_trials repeats its own objective's check for library callers.
     A failure in a trial is a runtime one.
     """
-    specs = [benchmark_spec(name, args.dim) for name in functions]
-    check_campaign(algorithms, specs, args.tolerance, args.max_evals, args.trials, args.workers)
+    objectives = [benchmark_spec(name, args.dim).objective for name in functions]
+    check_campaign(algorithms, objectives, args.tolerance, args.max_evals, args.trials, args.workers)
     params_by_algorithm = _build_params(args, algorithms)
     with _trials_running():
         campaigns = [
             experiment_trials(
                 algorithms,
-                spec,
+                objective,
                 args.tolerance,
                 args.max_evals,
                 args.trials,
@@ -177,7 +177,7 @@ def _campaign(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> 
                 params_by_algorithm=params_by_algorithm,
                 workers=args.workers,
             )
-            for spec in specs
+            for objective in objectives
         ]
     return _config(args, algorithms, functions), campaigns
 
@@ -248,12 +248,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     lookup_algorithm(args.algorithm)
     if args.iters < 1:
         raise ValueError("--iters must be >= 1")
-    spec = benchmark_spec(args.function, args.dim)
+    objective = benchmark_spec(args.function, args.dim).objective
     params = _build_params(args, (args.algorithm,))[args.algorithm]
 
     with _output(args, _config(args, (args.algorithm,), (args.function,))) as out, _trials_running():
-        write = _trace_writer(out, params.n, spec.objective.dim)
-        run_trial(args.algorithm, spec, None, args.max_evals, args.seed, params=params, recorder=write)
+        write = _trace_writer(out, params.n, objective.dim)
+        run_trial(args.algorithm, objective, None, args.max_evals, args.seed, params=params, recorder=write)
     return 0
 
 

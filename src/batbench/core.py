@@ -53,7 +53,7 @@ def _as_vector(x, name: str) -> Vector:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Box constraints: lower[k] < upper[k] for every coordinate."""
+    """Box constraints: lower[k] < upper[k], both and their width finite, for every k."""
 
     lower: Vector
     upper: Vector
@@ -63,8 +63,10 @@ class Bounds:
         hi = _as_vector(self.upper, "upper")
         if lo.size != hi.size or lo.size < 1:
             raise ValueError(f"bound vectors must share a dimension >= 1, got {lo.size} and {hi.size}")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("bounds must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = hi - lo  # not finite when a bound is not, or when it overflows
+        if not np.isfinite(width).all():
+            raise ValueError("bounds and their widths must be finite")
         if not (lo < hi).all():
             raise ValueError("every lower bound must be strictly below its upper bound")
         lo.setflags(write=False)
@@ -90,8 +92,8 @@ class Objective:
     """Named evaluatable function with domain and known-optimum metadata.
 
     Evaluation must be deterministic: the same point always yields the
-    same value.  ``known_min``/``known_argmin`` are optional; when both
-    are present, ``fn(known_argmin) == known_min`` within 1e-9.
+    same value.  ``known_min`` (finite) and ``known_argmin`` are optional;
+    when both are present, ``fn(known_argmin) == known_min`` within 1e-9.
     """
 
     name: str
@@ -106,6 +108,8 @@ class Objective:
             raise ValueError("dim must be positive")
         if self.bounds.dim != self.dim:
             raise ValueError(f"bounds dimension {self.bounds.dim} != dim {self.dim}")
+        if self.known_min is not None and not math.isfinite(self.known_min):
+            raise ValueError("known_min must be finite")
         if self.known_argmin is not None:
             arg = _as_vector(self.known_argmin, "known_argmin")
             if arg.size != self.dim:

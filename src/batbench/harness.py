@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .baselines import GaParams, PsoParams, ga_sweeps, pso_sweeps
 from .bat import BatParams, bat_sweeps
-from .benchmarks import BenchmarkSpec
 from .core import EvalBudget, Objective, RandomStream, Sweeps, TrajectoryRecord, derive_seed
 
 __all__ = [
@@ -197,25 +196,25 @@ def drive_trial(
 
 def run_trial(
     algorithm: str,
-    spec: BenchmarkSpec,
+    objective: Objective,
     tolerance: Optional[float],
     max_evals: int,
     seed: int,
     params: Optional[AlgorithmParams] = None,
     recorder: Optional[Recorder] = None,
 ) -> TrialResult:
-    """One seeded run of one algorithm against one benchmark."""
+    """One seeded run of one algorithm against one objective."""
     entry = lookup_algorithm(algorithm)
     if params is None:
         params = entry.params()
     return drive_trial(
-        algorithm, entry.sweeps, params, spec.objective, seed, EvalBudget(max_evals), tolerance, recorder
+        algorithm, entry.sweeps, params, objective, seed, EvalBudget(max_evals), tolerance, recorder
     )
 
 
 def check_campaign(
     algorithms: Sequence[str],
-    specs: Sequence[BenchmarkSpec],
+    objectives: Sequence[Objective],
     tolerance: Optional[float],
     max_evals: int,
     trials: int,
@@ -223,25 +222,25 @@ def check_campaign(
 ) -> None:
     """Refuse a campaign that cannot run, before any trial starts, in this
     order: an unknown algorithm (UnknownAlgorithmError); then, as
-    ValueError, an algorithm or function named twice (an alias repeats its
-    function), fewer than one trial or worker, a budget below one
-    evaluation, or a tolerance that check_stop_at refuses on a spec."""
+    ValueError, an algorithm or objective name given twice (a registry alias
+    names its function), fewer than one trial or worker, a budget below one
+    evaluation, or a tolerance that check_stop_at refuses on an objective."""
     for algorithm in algorithms:
         lookup_algorithm(algorithm)
-    if len(set(algorithms)) < len(algorithms) or len({s.objective.name for s in specs}) < len(specs):
+    if len(set(algorithms)) < len(algorithms) or len({o.name for o in objectives}) < len(objectives):
         raise ValueError("each algorithm and function may be named once")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     EvalBudget(max_evals)
-    for spec in specs:
-        check_stop_at(tolerance, spec.objective)
+    for objective in objectives:
+        check_stop_at(tolerance, objective)
 
 
 def experiment_trials(
     algorithms: Sequence[str],
-    spec: BenchmarkSpec,
+    objective: Objective,
     tolerance: Optional[float],
     max_evals: int,
     trials: int,
@@ -257,13 +256,13 @@ def experiment_trials(
     named twice is a ValueError.  Each trial is a call of the module's
     run_trial, looked up when the campaign starts.
     """
-    check_campaign(algorithms, [spec], tolerance, max_evals, trials, workers)
+    check_campaign(algorithms, [objective], tolerance, max_evals, trials, workers)
 
     # One column per run_trial argument, one row per trial, algorithm-major.
     names = [algorithm for algorithm in algorithms for _ in range(trials)]
     seeds = [derive_seed(master_seed, algorithm, k) for algorithm in algorithms for k in range(trials)]
     params = [(params_by_algorithm or {}).get(algorithm) for algorithm in names]
-    columns = (names, repeat(spec), repeat(tolerance), repeat(max_evals), seeds, params)
+    columns = (names, repeat(objective), repeat(tolerance), repeat(max_evals), seeds, params)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_trial, *columns))

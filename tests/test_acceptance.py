@@ -173,7 +173,7 @@ def test_criterion_3_figure_reproduction(tmp_path):
 
     # Fig-2 style: 40 bats on the eggcrate, 10,000-evaluation budget; the
     # paper's figure has the final best within 0.05 of the origin.
-    egg = benchmark_spec("eggcrate", 2)
+    egg = benchmark_spec("eggcrate", 2).objective
     egg_results = [
         run_trial("bat", egg, None, 10_000, derive_seed(0, "bat-egg", k)) for k in range(100)
     ]
@@ -194,7 +194,7 @@ def test_criterion_3_figure_reproduction(tmp_path):
         ):
             mismatches.append(f"rosenbrock trace {k}")
     egg_refs = [
-        reference_bat(egg.objective, reference_seed(0, "bat-egg", k), 10_000) for k in range(100)
+        reference_bat(egg, reference_seed(0, "bat-egg", k), 10_000) for k in range(100)
     ]
     mismatches += [f"eggcrate {m}" for m in _reference_mismatches(egg_results, egg_refs)]
 
@@ -213,12 +213,12 @@ def test_criterion_3_figure_reproduction(tmp_path):
 
 def test_criterion_4_convergence_to_tolerance():
     start = time.perf_counter()
-    spec = benchmark_spec("dejong_sphere", 16)
-    results = experiment_trials(["bat"], spec, 1e-5, 10_000, trials=100, master_seed=0)["bat"]
+    sphere = benchmark_spec("dejong_sphere", 16).objective
+    results = experiment_trials(["bat"], sphere, 1e-5, 10_000, trials=100, master_seed=0)["bat"]
     rate = summarize(results).success_rate
     elapsed = time.perf_counter() - start
 
-    refs = reference_trials("bat", spec.objective, 1e-5, 10_000, trials=100, master_seed=0)
+    refs = reference_trials("bat", sphere, 1e-5, 10_000, trials=100, master_seed=0)
     mismatches = _reference_mismatches(results, refs)
     ok = not mismatches and elapsed < 120.0
     _report(
@@ -239,16 +239,16 @@ def test_criterion_5_ordering_property():
     budget = 40_000
     campaigns = []
     for fn, tol in (("dejong_sphere", 100.0), ("ackley", 17.0)):
-        spec = benchmark_spec(fn, 16)
+        objective = benchmark_spec(fn, 16).objective
         by_algorithm = experiment_trials(
-            ["bat", "pso", "ga"], spec, tol, budget, trials=30, master_seed=0
+            ["bat", "pso", "ga"], objective, tol, budget, trials=30, master_seed=0
         )
-        campaigns.append((fn, tol, spec, by_algorithm))
+        campaigns.append((fn, tol, objective, by_algorithm))
     elapsed = time.perf_counter() - start
 
     details = []
     mismatches = []
-    for fn, tol, spec, by_algorithm in campaigns:
+    for fn, tol, objective, by_algorithm in campaigns:
         summaries = {a: summarize(by_algorithm[a]) for a in ("bat", "pso", "ga")}
         means = {a: s.mean_evals for a, s in summaries.items()}
         ordered = all(m is not None for m in means.values()) and (
@@ -262,7 +262,7 @@ def test_criterion_5_ordering_property():
             ) + f", bat<pso<ga {'holds' if ordered else 'does not hold'}"
         )
         for a in ("bat", "pso", "ga"):
-            refs = reference_trials(a, spec.objective, tol, budget, trials=30, master_seed=0)
+            refs = reference_trials(a, objective, tol, budget, trials=30, master_seed=0)
             mismatches += [f"{fn} {a} {m}" for m in _reference_mismatches(by_algorithm[a], refs)]
 
     ok = not mismatches and elapsed < 300.0
@@ -289,9 +289,9 @@ def test_criterion_6_determinism(tmp_path):
     assert run_cli(args + ["--output", str(f2)]) == 0
     identical = f1.read_bytes() == f2.read_bytes()
 
-    spec = benchmark_spec("dejong_sphere", 2)
-    seq = experiment_trials(["bat", "pso", "ga"], spec, 1e-2, 1_200, 8, 5, workers=1)
-    par = experiment_trials(["bat", "pso", "ga"], spec, 1e-2, 1_200, 8, 5, workers=4)
+    sphere = benchmark_spec("dejong_sphere", 2).objective
+    seq = experiment_trials(["bat", "pso", "ga"], sphere, 1e-2, 1_200, 8, 5, workers=1)
+    par = experiment_trials(["bat", "pso", "ga"], sphere, 1e-2, 1_200, 8, 5, workers=4)
     concurrency_invariant = seq == par
 
     elapsed = time.perf_counter() - start

@@ -127,7 +127,7 @@ def test_trace_bytes_at_workload_size(tmp_path, capsys):
     for algorithm, pop in (("bat", 40), ("pso", 41), ("ga", 41)):
         records = []
         params = dataclasses.replace(default_params(algorithm), n=pop)
-        run_trial(algorithm, benchmark_spec("dejong", 16), None, pop * 51, 3,
+        run_trial(algorithm, benchmark_spec("dejong", 16).objective, None, pop * 51, 3,
                   params=params, recorder=records.append)
         expected = [_reference_trace_line(r) + "\n" for r in records]
         assert len(records) == 50

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,7 +52,15 @@ def test_bounds_validation():
         Bounds(np.array([np.nan]), np.array([1.0]))
     with pytest.raises(ValueError, match="must be 1-D"):
         Bounds(np.zeros((1, 2)), np.ones((1, 2)))
+    # Finite bounds whose width overflows to inf are refused, without a
+    # numpy overflow warning.
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="widths must be finite"):
+        warnings.simplefilter("error")
+        Bounds.cube(-1e308, 1e308, 2)
     sphere = lambda x: float(x @ x)
+    for known_min in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="known_min must be finite"):
+            Objective("o", 2, BOX2, sphere, known_min)
     with pytest.raises(ValueError, match="dim must be positive"):
         Objective("o", 0, BOX2, sphere)
     with pytest.raises(ValueError, match="bounds dimension"):
