@@ -101,20 +101,24 @@ def _json_value(value) -> str:
 
 @contextlib.contextmanager
 def _output(args: argparse.Namespace, config: str):
-    """Yield stdout or the --output file.  If the body raises, the file is
-    deleted and no sidecar is written (lines already on stdout stay); a
-    finished JSONL file gets a <file>.config.json sidecar."""
+    """Yield stdout or the --output file.  If the body raises, a regular
+    file is deleted and no sidecar is written (lines already on stdout
+    stay); a finished JSONL regular file gets a <file>.config.json sidecar.
+    Any other output, such as a FIFO or /dev/null, is never deleted and
+    gets no sidecar."""
     if args.output is None:
         yield sys.stdout
         return
     out = open(args.output, "w")
+    regular = Path(args.output).is_file()
     try:
         with out:
             yield out
     except BaseException:
-        Path(args.output).unlink()
+        if regular:
+            Path(args.output).unlink()
         raise
-    if args.format == "jsonl":
+    if regular and args.format == "jsonl":
         Path(args.output + ".config.json").write_text(config + "\n")
 
 

@@ -11,9 +11,7 @@ rate is reported separately over all trials.
 from __future__ import annotations
 
 import math
-import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -264,6 +262,8 @@ def experiment_trials(
     params = [(params_by_algorithm or {}).get(algorithm) for algorithm in names]
     columns = (names, repeat(objective), repeat(tolerance), repeat(max_evals), seeds, params)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded on use: it adds to a CLI child's peak RSS
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_trial, *columns))
     else:
@@ -273,6 +273,8 @@ def experiment_trials(
 
 def summarize(results: Sequence[TrialResult]) -> ExperimentSummary:
     """Mean / sample-std of evaluations over successes, rate over all trials."""
+    import statistics  # loaded on use: it adds to a CLI child's peak RSS
+
     if not results:
         raise ValueError("summarize requires at least one trial")
     successes = [r.evaluations_used for r in results if r.success]

@@ -13,9 +13,12 @@ reproduction finding, not asserted.  See the repository README for the
 measured behavior.
 """
 
+import functools
 import json
 import math
+import multiprocessing
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,10 +40,10 @@ from batbench.cli import run_cli
 from batbench.core import RandomStream
 from batbench.harness import drive_trial, experiment_trials, summarize
 from oracles import (
+    REFERENCE_RUNNERS,
     CallCounter,
     reference_bat,
     reference_seed,
-    reference_trials,
     refine_1d,
 )
 
@@ -65,6 +68,34 @@ def _reference_mismatches(results, references) -> list[str]:
         if diff:
             out.append(f"trial {k}: " + ", ".join(diff))
     return out
+
+
+def _call(run, *args):
+    return run(*args)
+
+
+def _references(jobs) -> list:
+    """[run(*args) for run, *args in jobs], in order, computed on a pool of
+    two forked processes, which start with this process's imports: each
+    reference trial is a plain Python loop, independent of the others."""
+    with multiprocessing.get_context("fork").Pool(2) as pool:
+        return pool.starmap(_call, jobs, chunksize=1)
+
+
+def _reference_trial_jobs(algorithm, objective, tolerance, max_evals, trials, master_seed) -> list:
+    """The calls reference_trials makes, one job per trial, for _references."""
+    run = REFERENCE_RUNNERS[algorithm]
+    return [
+        (run, objective, reference_seed(master_seed, algorithm, k), max_evals, tolerance)
+        for k in range(trials)
+    ]
+
+
+def _readme_battery_status() -> str:
+    """README's "Acceptance battery status" section, its whitespace collapsed."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Acceptance battery status\n", 1)[1].split("\n## ", 1)[0]
+    return " ".join(section.split())
 
 
 def test_criterion_1_benchmark_oracle_suite():
@@ -184,18 +215,20 @@ def test_criterion_3_figure_reproduction(tmp_path):
     # the reference's final swarm and best, every eggcrate trial must equal
     # the reference trial.
     rosen = benchmark_spec("rosenbrock_paper", 2).objective
+    rosen_bat = functools.partial(reference_bat, n=25, max_iterations=20)
+    refs = _references(
+        [(rosen_bat, rosen, reference_seed(0, "bat", k), 25 * 21) for k in range(100)]
+        + [(reference_bat, egg, reference_seed(0, "bat-egg", k), 10_000) for k in range(100)]
+    )
+    rosen_refs, egg_refs = refs[:100], refs[100:]
     mismatches = []
-    for k, (iterations, last) in enumerate(traces):
-        ref = reference_bat(rosen, reference_seed(0, "bat", k), 25 * 21, n=25, max_iterations=20)
+    for k, ((iterations, last), ref) in enumerate(zip(traces, rosen_refs)):
         if not (
             iterations == ref.iterations
             and last["best"] == ref.best_value
             and np.array_equal(np.array(last["positions"]), ref.positions)
         ):
             mismatches.append(f"rosenbrock trace {k}")
-    egg_refs = [
-        reference_bat(egg, reference_seed(0, "bat-egg", k), 10_000) for k in range(100)
-    ]
     mismatches += [f"eggcrate {m}" for m in _reference_mismatches(egg_results, egg_refs)]
 
     ok = rosen_hits >= 80 and not mismatches and elapsed < 60.0
@@ -209,6 +242,9 @@ def test_criterion_3_figure_reproduction(tmp_path):
     assert elapsed < 60.0
     assert rosen_hits >= 80, f"rosenbrock trace hits {rosen_hits}/100"
     assert not mismatches, "; ".join(mismatches[:5])
+    status = _readme_battery_status()
+    assert f"minimizer in {rosen_hits}/100 seeds" in status
+    assert f"origin in only {egg_hits}/100" in status
 
 
 def test_criterion_4_convergence_to_tolerance():
@@ -218,7 +254,7 @@ def test_criterion_4_convergence_to_tolerance():
     rate = summarize(results).success_rate
     elapsed = time.perf_counter() - start
 
-    refs = reference_trials("bat", sphere, 1e-5, 10_000, trials=100, master_seed=0)
+    refs = _references(_reference_trial_jobs("bat", sphere, 1e-5, 10_000, trials=100, master_seed=0))
     mismatches = _reference_mismatches(results, refs)
     ok = not mismatches and elapsed < 120.0
     _report(
@@ -229,6 +265,7 @@ def test_criterion_4_convergence_to_tolerance():
     )
     assert elapsed < 120.0
     assert not mismatches, "; ".join(mismatches[:5])
+    assert f"success rate {sum(r.success for r in results)}/100" in _readme_battery_status()
 
 
 def test_criterion_5_ordering_property():
@@ -246,7 +283,14 @@ def test_criterion_5_ordering_property():
         campaigns.append((fn, tol, objective, by_algorithm))
     elapsed = time.perf_counter() - start
 
+    references = iter(_references([
+        job
+        for _, tol, objective, _ in campaigns
+        for a in ("bat", "pso", "ga")
+        for job in _reference_trial_jobs(a, objective, tol, budget, trials=30, master_seed=0)
+    ]))
     details = []
+    rows = {}
     mismatches = []
     for fn, tol, objective, by_algorithm in campaigns:
         summaries = {a: summarize(by_algorithm[a]) for a in ("bat", "pso", "ga")}
@@ -254,15 +298,14 @@ def test_criterion_5_ordering_property():
         ordered = all(m is not None for m in means.values()) and (
             means["bat"] < means["pso"] < means["ga"]
         )
-        details.append(
-            f"{fn}: " + ", ".join(
-                f"{a} {'-' if s.mean_evals is None else round(s.mean_evals, 1)} "
-                f"({round(s.success_rate * s.trial_count)}/{s.trial_count})"
-                for a, s in summaries.items()
-            ) + f", bat<pso<ga {'holds' if ordered else 'does not hold'}"
+        rows[fn] = ", ".join(
+            f"{a} {'-' if s.mean_evals is None else round(s.mean_evals, 1)} "
+            f"({round(s.success_rate * s.trial_count)}/{s.trial_count})"
+            for a, s in summaries.items()
         )
+        details.append(f"{fn}: {rows[fn]}, bat<pso<ga {'holds' if ordered else 'does not hold'}")
         for a in ("bat", "pso", "ga"):
-            refs = reference_trials(a, objective, tol, budget, trials=30, master_seed=0)
+            refs = [next(references) for _ in range(30)]
             mismatches += [f"{fn} {a} {m}" for m in _reference_mismatches(by_algorithm[a], refs)]
 
     ok = not mismatches and elapsed < 300.0
@@ -275,6 +318,7 @@ def test_criterion_5_ordering_property():
     )
     assert elapsed < 300.0
     assert not mismatches, "; ".join(mismatches[:5])
+    assert f"Ackley {rows['ackley']}" in _readme_battery_status()
 
 
 def test_criterion_6_determinism(tmp_path):

@@ -3,7 +3,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +252,47 @@ def test_value_error_inside_a_trial_exits_1(tmp_path, monkeypatch, capsys, subco
     assert not (tmp_path / "out.jsonl.config.json").exists()
 
 
+def _drain(fd):
+    """Everything a finished writer left in the pipe read through `fd`."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_an_output_that_is_not_a_regular_file_is_never_deleted_and_gets_no_sidecar(
+    tmp_path, monkeypatch, capsys
+):
+    # A FIFO stands for outputs such as /dev/null: whether the trace finishes
+    # or fails, the FIFO stays and no <output>.config.json appears beside it.
+    # At d=2 both traces write less than a pipe holds, so the writer never waits.
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    trace = ["trace", "--algorithm", "bat", "--function", "dejong", "--dim", "2", "--seed", "3"]
+
+    def trace_into_fifo(iters):
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # opening the write end needs a reader
+        try:
+            return run_cli(trace + ["--iters", str(iters), "--output", str(fifo)]), _drain(reader).decode()
+        finally:
+            os.close(reader)
+
+    assert run_cli(trace + ["--iters", "2"]) == 0
+    expected = capsys.readouterr().out
+    assert trace_into_fifo(2) == (0, expected)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo"]
+
+    calls = []
+    monkeypatch.setattr(cli, "benchmark_spec", _spec_raising_in_sweep(calls, 3, ValueError("bad point")))
+    code, written = trace_into_fifo(10)
+    assert code == 1
+    assert capsys.readouterr().err == "batbench: error: bad point\n"
+    assert [json.loads(line)["iter"] for line in written.splitlines()] == [1, 2]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo"]
+
+
 def test_invalid_configuration_exits_2_before_any_trial(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "benchmark_spec", _spec_raising_in_sweep(calls, 0, AssertionError))
@@ -290,6 +336,32 @@ def test_trace_memory_does_not_grow_with_iters(tmp_path):
 
     peak(25)  # warm-up: first-call imports and caches
     assert peak(400) - peak(25) < 1_000_000
+
+
+def test_a_serial_run_and_a_trace_load_neither_the_thread_pool_nor_statistics(tmp_path):
+    # Only --workers above 1 needs the pool, and only summaries need
+    # statistics; a fresh interpreter shows what a CLI child loads.
+    script = (
+        "import sys\n"
+        "from batbench.cli import run_cli\n"
+        "def loaded():\n"
+        "    return sorted({'concurrent.futures', 'statistics'} & set(sys.modules))\n"
+        "args = ['--algorithm', 'bat', '--function', 'dejong', '--dim', '4', '--pop', '5']\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert run_cli(['run', *args, '--trials', '2', '--max-evals', '50', '--workers', '1',\n"
+        "                '--output', out + '/run.csv']) == 0\n"
+        "assert run_cli(['trace', *args, '--iters', '3', '--output', out + '/trace.jsonl']) == 0\n"
+        "print(loaded())\n"
+        "assert run_cli(['compare', '--functions', 'dejong', '--algorithms', 'bat', '--dim', '4',\n"
+        "                '--pop', '5', '--trials', '2', '--max-evals', '50', '--workers', '2',\n"
+        "                '--output', out + '/compare.csv']) == 0\n"
+        "print(loaded())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["[]", "['concurrent.futures', 'statistics']"]
 
 
 @pytest.mark.parametrize("argv", [
