@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .baselines import GaParams, PsoParams
 from .bat import BatParams, BatState
-from .benchmarks import BenchmarkSpec, benchmark_spec, evaluate_benchmark, registry_names
+from .benchmarks import BenchmarkSpec, benchmark_spec, registry_names
 from .core import (
     Bounds,
     BudgetExceededError,
@@ -20,7 +20,6 @@ from .harness import (
     ALGORITHMS,
     ExperimentSummary,
     TrialResult,
-    drive_trial,
     experiment_trials,
     run_trial,
     summarize,
@@ -46,8 +45,6 @@ __all__ = [
     "clamp_to_bounds",
     "counted_evaluate",
     "derive_seed",
-    "drive_trial",
-    "evaluate_benchmark",
     "experiment_trials",
     "registry_names",
     "run_trial",

@@ -1,7 +1,7 @@
 """PSO and real-coded GA baselines sharing the trial contracts.
 
 Both count every objective call against the shared budget (initialization
-included) and report their best after each sweep; the trial driver, not
+included) and report their best after each sweep; harness.run_trial, not
 the optimizer, stops the trial at the tolerance or when the budget is
 spent, and feeds the same trajectory-sink contract as the bat optimizer.
 """

@@ -26,7 +26,6 @@ __all__ = [
     "BenchmarkSpec",
     "UnknownBenchmarkError",
     "benchmark_spec",
-    "evaluate_benchmark",
     "registry_names",
     "dim_constraint",
 ]
@@ -251,8 +250,3 @@ def benchmark_spec(name: str, dim: Optional[int] = None) -> BenchmarkSpec:
     )
     return BenchmarkSpec(objective)
 
-
-def evaluate_benchmark(name: str, x: Vector) -> float:
-    """Evaluate a registered function at x, validating the dimension."""
-    x = np.asarray(x, dtype=float)
-    return benchmark_spec(name, x.size).objective(x)

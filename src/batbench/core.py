@@ -29,7 +29,7 @@ Vector = np.ndarray
 
 # What an algorithm's sweep generator yields: (best value, best position,
 # positions) after initialisation and after each sweep.  A sweep only
-# reports: the trial driver starts one only while budget is left, and
+# reports: harness.run_trial starts one only while budget is left, and
 # decides whether it counts.
 Sweeps = Iterator[tuple[float, Vector, np.ndarray]]
 
@@ -37,7 +37,7 @@ Sweeps = Iterator[tuple[float, Vector, np.ndarray]]
 class BudgetExceededError(RuntimeError):
     """Raised when an evaluation is requested after the budget is spent.
 
-    No trial raises it: drive_trial never lets a trial evaluate past its
+    No trial raises it: run_trial never lets a trial evaluate past its
     budget.  It guards direct calls such as counted_evaluate and init_bats.
     """
 

@@ -29,9 +29,9 @@ __all__ = [
     "TrajectoryRecord",
     "Recorder",
     "check_stop_at",
-    "drive_trial",
     "lookup_algorithm",
     "default_params",
+    "trial_params",
     "run_trial",
     "check_campaign",
     "experiment_trials",
@@ -44,7 +44,7 @@ Recorder = Callable[[TrajectoryRecord], None]
 
 class Algorithm(NamedTuple):
     """An optimizer: its params class, whose field defaults are the
-    algorithm's defaults; its sweep generator, which drive_trial runs; and
+    algorithm's defaults; its sweep generator, which run_trial runs; and
     the params field each CLI flag sets."""
 
     params: type
@@ -135,61 +135,15 @@ def check_stop_at(stop_at: Optional[float], obj: Objective) -> None:
         raise ValueError(f"{obj.name} has no known minimum; tolerance-based success is undefined")
 
 
-def drive_trial(
-    algorithm: str,
-    sweeps: Callable[..., Sweeps],
-    params,
-    obj: Objective,
-    seed: int,
-    budget: EvalBudget,
-    stop_at: Optional[float] = None,
-    recorder: Optional[Recorder] = None,
-) -> TrialResult:
-    """One trial: initialise params.n agents, then sweep until a stop.  This
-    is the one function that decides every stop.
-
-    ``sweeps(params, obj, budget, rng)`` starts the algorithm on the
-    trial's stream.  A budget below n skips the trial (no evaluation, no
-    best position).  Otherwise the loop stops once the best is within
-    ``stop_at`` of the known minimum, when the budget is spent, or after a
-    sweep that charged fewer than n evaluations; such a sweep's
-    evaluations still count towards the best but not as an iteration.
-    There is no iteration cap: a budget of n*(t+1) runs exactly t sweeps.
-    The recorder receives one TrajectoryRecord per complete sweep, with a
-    copy of its positions.  A ``stop_at`` that check_stop_at refuses
-    raises ValueError.
-    """
-    check_stop_at(stop_at, obj)
-    start = time.perf_counter()
-
-    def tolerance_met(value: float) -> bool:
-        return stop_at is not None and value - obj.known_min <= stop_at
-
-    n = params.n
-    best_value, best_position, iterations = math.inf, None, 0
-    if budget.remaining >= n:
-        trial = sweeps(params, obj, budget, RandomStream(seed))
-        best_value, best_position, _ = next(trial)
-        while not tolerance_met(best_value) and budget.remaining:
-            used = budget.used
-            best_value, best_position, positions = next(trial)
-            if budget.used - used < n:
-                break
-            iterations += 1
-            if recorder is not None:
-                recorder(TrajectoryRecord(iterations, positions.copy(), best_value))
-    return TrialResult(
-        algorithm=algorithm,
-        function=obj.name,
-        dim=obj.dim,
-        seed=seed,
-        evaluations_used=budget.used,
-        success=tolerance_met(best_value),
-        best_value=best_value,
-        iterations=iterations,
-        best_position=None if best_position is None else tuple(float(v) for v in best_position),
-        wall_time=time.perf_counter() - start,
-    )
+def trial_params(algorithm: str, params: Optional[AlgorithmParams]) -> AlgorithmParams:
+    """`params`, or the algorithm's defaults for None; UnknownAlgorithmError
+    for an unknown algorithm, ValueError for another algorithm's params."""
+    entry = lookup_algorithm(algorithm)
+    if params is None:
+        return entry.params()
+    if not isinstance(params, entry.params):
+        raise ValueError(f"{algorithm} takes {entry.params.__name__}, not {type(params).__name__}")
+    return params
 
 
 def run_trial(
@@ -201,12 +155,54 @@ def run_trial(
     params: Optional[AlgorithmParams] = None,
     recorder: Optional[Recorder] = None,
 ) -> TrialResult:
-    """One seeded run of one algorithm against one objective."""
-    entry = lookup_algorithm(algorithm)
-    if params is None:
-        params = entry.params()
-    return drive_trial(
-        algorithm, entry.sweeps, params, objective, seed, EvalBudget(max_evals), tolerance, recorder
+    """One seeded run of one algorithm against one objective: initialise
+    params.n agents, then sweep until a stop.  This is the one function
+    that decides every stop.
+
+    It starts ``ALGORITHMS[algorithm].sweeps(params, objective, budget,
+    RandomStream(seed))``.  A budget below n skips the trial (no
+    evaluation, no best position).  Otherwise the loop stops once the best
+    is within ``tolerance`` of the known minimum, when the budget is spent,
+    or after a sweep that charged fewer than n evaluations; such a sweep's
+    evaluations still count towards the best but not as an iteration.
+    There is no iteration cap: a budget of n*(t+1) runs exactly t sweeps.
+    The recorder receives one TrajectoryRecord per complete sweep, with a
+    copy of its positions.  Before any evaluation, in this order, an
+    unknown algorithm, params that trial_params refuses, a budget below one
+    evaluation and a tolerance that check_stop_at refuses raise.
+    """
+    params = trial_params(algorithm, params)
+    budget = EvalBudget(max_evals)
+    check_stop_at(tolerance, objective)
+    start = time.perf_counter()
+
+    def tolerance_met(value: float) -> bool:
+        return tolerance is not None and value - objective.known_min <= tolerance
+
+    n = params.n
+    best_value, best_position, iterations = math.inf, None, 0
+    if budget.remaining >= n:
+        trial = ALGORITHMS[algorithm].sweeps(params, objective, budget, RandomStream(seed))
+        best_value, best_position, _ = next(trial)
+        while not tolerance_met(best_value) and budget.remaining:
+            used = budget.used
+            best_value, best_position, positions = next(trial)
+            if budget.used - used < n:
+                break
+            iterations += 1
+            if recorder is not None:
+                recorder(TrajectoryRecord(iterations, positions.copy(), best_value))
+    return TrialResult(
+        algorithm=algorithm,
+        function=objective.name,
+        dim=objective.dim,
+        seed=seed,
+        evaluations_used=budget.used,
+        success=tolerance_met(best_value),
+        best_value=best_value,
+        iterations=iterations,
+        best_position=None if best_position is None else tuple(float(v) for v in best_position),
+        wall_time=time.perf_counter() - start,
     )
 
 
@@ -251,15 +247,17 @@ def experiment_trials(
     Trial k of each algorithm runs with the seed derived from
     (master_seed, algorithm, k), so results do not depend on `workers`.
     The campaign is checked by check_campaign first, so an algorithm
-    named twice is a ValueError.  Each trial is a call of the module's
-    run_trial, looked up when the campaign starts.
+    named twice is a ValueError, and then each algorithm's params by
+    trial_params.  Each trial is a call of the module's run_trial, looked
+    up when the campaign starts.
     """
     check_campaign(algorithms, [objective], tolerance, max_evals, trials, workers)
+    chosen = {a: trial_params(a, (params_by_algorithm or {}).get(a)) for a in algorithms}
 
     # One column per run_trial argument, one row per trial, algorithm-major.
     names = [algorithm for algorithm in algorithms for _ in range(trials)]
     seeds = [derive_seed(master_seed, algorithm, k) for algorithm in algorithms for k in range(trials)]
-    params = [(params_by_algorithm or {}).get(algorithm) for algorithm in names]
+    params = [chosen[algorithm] for algorithm in names]
     columns = (names, repeat(objective), repeat(tolerance), repeat(max_evals), seeds, params)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # loaded on use: it adds to a CLI child's peak RSS

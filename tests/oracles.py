@@ -140,6 +140,8 @@ class CallCounter:
 #       below pc), and when it fires d draws, child one taking parent a's
 #       gene where the draw is below 0.5.  Then child one, then child two,
 #       is mutated: d gate draws (below pm), then d standard normal steps.
+#       After the pairs, an odd n's extra child: one pick, then its
+#       mutation as above, with no crossover gate or mask.
 #
 # Every algorithm stops before a sweep once the best is within the
 # tolerance of ``known_min``, the iteration cap is reached or the budget is
@@ -229,12 +231,11 @@ def reference_bat(objective, seed: int, max_evals: int, tolerance: Optional[floa
 
 
 def reference_pso(objective, seed: int, max_evals: int, tolerance: Optional[float] = None,
-                  max_iterations: int = 10_000, *, inertia: float = 1.0, c1: float = 2.0,
-                  c2: float = 2.0) -> ReferenceTrial:
-    """Global-best PSO with 40 particles, v <- I*v + c1*u1*(pbest-x) +
-    c2*u2*(gbest-x), by default with I = 1 and c1 = c2 = 2, and each
-    velocity component clamped at half the coordinate range."""
-    n = 40
+                  max_iterations: int = 10_000, *, n: int = 40, inertia: float = 1.0,
+                  c1: float = 2.0, c2: float = 2.0) -> ReferenceTrial:
+    """Global-best PSO with n particles, v <- I*v + c1*u1*(pbest-x) +
+    c2*u2*(gbest-x), by default with 40 particles, I = 1 and c1 = c2 = 2,
+    and each velocity component clamped at half the coordinate range."""
     fn, lower, upper = objective.fn, objective.bounds.lower, objective.bounds.upper
     d = lower.size
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -269,13 +270,14 @@ def reference_pso(objective, seed: int, max_evals: int, tolerance: Optional[floa
 
 
 def reference_ga(objective, seed: int, max_evals: int, tolerance: Optional[float] = None,
-                 max_iterations: int = 10_000, *, p_mutation: float = 0.05,
+                 max_iterations: int = 10_000, *, n: int = 40, p_mutation: float = 0.05,
                  p_crossover: float = 0.95) -> ReferenceTrial:
-    """Generational real-coded GA without elitism, 40 individuals: rank
-    roulette, uniform crossover (pc = 0.95 by default), per-gene Gaussian
-    mutation (pm = 0.05 by default, sigma = 10% of the range), full
-    replacement; the best ever seen is reported."""
-    n, pm, pc = 40, p_mutation, p_crossover
+    """Generational real-coded GA without elitism, n individuals (40 by
+    default): rank roulette, uniform crossover (pc = 0.95 by default),
+    per-gene Gaussian mutation (pm = 0.05 by default, sigma = 10% of the
+    range), full replacement; the best ever seen is reported.  An odd n's
+    extra child is one roulette pick, mutated and never crossed over."""
+    pm, pc = p_mutation, p_crossover
     fn, lower, upper = objective.fn, objective.bounds.lower, objective.bounds.upper
     d = lower.size
     sigma = 0.1 * (upper - lower)
@@ -306,6 +308,8 @@ def reference_ga(objective, seed: int, max_evals: int, tolerance: Optional[float
                 take_a = rng.random(d) < 0.5
                 pa, pb = np.where(take_a, pa, pb), np.where(take_a, pb, pa)
             kids += [mutate(pa), mutate(pb)]
+        if n % 2:
+            kids.append(mutate(pop[pick(cumulative)]))
         kid_f = []
         for kid in kids:
             if evals == max_evals:

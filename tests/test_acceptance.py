@@ -31,14 +31,12 @@ from batbench import (
     PsoParams,
     benchmark_spec,
     derive_seed,
-    evaluate_benchmark,
     run_trial,
 )
-from batbench.bat import BatState, accept, bat_sweeps
-from batbench.baselines import ga_sweeps, pso_sweeps
+from batbench.bat import BatState, accept
 from batbench.cli import run_cli
 from batbench.core import RandomStream
-from batbench.harness import drive_trial, experiment_trials, summarize
+from batbench.harness import experiment_trials, summarize
 from oracles import (
     REFERENCE_RUNNERS,
     CallCounter,
@@ -101,10 +99,10 @@ def _readme_battery_status() -> str:
 def test_criterion_1_benchmark_oracle_suite():
     start = time.perf_counter()
     checks = []
-    checks.append(abs(evaluate_benchmark("rosenbrock_paper", [1.0, 1.0])) <= 1e-9)
-    checks.append(abs(evaluate_benchmark("eggcrate", [0.0, 0.0])) <= 1e-9)
-    checks.append(abs(evaluate_benchmark("dejong_sphere", np.zeros(16))) <= 1e-9)
-    checks.append(abs(evaluate_benchmark("ackley", np.zeros(16))) <= 1e-9)
+    checks.append(abs(benchmark_spec("rosenbrock_paper", 2).objective([1.0, 1.0])) <= 1e-9)
+    checks.append(abs(benchmark_spec("eggcrate", 2).objective([0.0, 0.0])) <= 1e-9)
+    checks.append(abs(benchmark_spec("dejong_sphere", 16).objective(np.zeros(16))) <= 1e-9)
+    checks.append(abs(benchmark_spec("ackley", 16).objective(np.zeros(16))) <= 1e-9)
 
     # Michalewicz is a separable sum: brute-force refine each coordinate term.
     def oracle_min(dim):
@@ -348,16 +346,11 @@ def test_criterion_7_evaluation_accounting():
     start = time.perf_counter()
     spec = benchmark_spec("dejong_sphere", 2)
     failures = []
-    for algo, sweeps, params in (
-        ("bat", bat_sweeps, BatParams(n=20)),
-        ("pso", pso_sweeps, PsoParams(n=20)),
-        ("ga", ga_sweeps, GaParams(n=20)),
-    ):
+    for algo, params in (("bat", BatParams(n=20)), ("pso", PsoParams(n=20)), ("ga", GaParams(n=20))):
         for stop_at, max_evals in ((None, 20 * 26), (1.0, 20 * 200)):
             counter = CallCounter(spec.objective.fn)
             obj = Objective("sphere", 2, spec.objective.bounds, counter, 0.0, np.zeros(2))
-            budget = EvalBudget(max_evals)
-            result = drive_trial(algo, sweeps, params, obj, 17, budget, stop_at=stop_at)
+            result = run_trial(algo, obj, stop_at, max_evals, 17, params)
             expected = 20 + 20 * result.iterations
             if not (result.evaluations_used == expected == counter.calls):
                 failures.append(

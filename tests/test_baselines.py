@@ -9,12 +9,10 @@ from batbench.baselines import (
     PsoParams,
     _initial_population,
     draw_generation,
-    ga_sweeps,
-    pso_sweeps,
 )
 from batbench.benchmarks import benchmark_spec
-from batbench.core import Bounds, EvalBudget, Objective, RandomStream, derive_seed
-from batbench.harness import drive_trial
+from batbench.core import Bounds, Objective, RandomStream, derive_seed
+from batbench.harness import run_trial
 from oracles import CallCounter, reference_ga, reference_pso
 
 SPHERE2 = benchmark_spec("dejong_sphere", 2).objective
@@ -40,7 +38,7 @@ def test_pso_gbest_particle_is_stationary():
     flat = Objective("flat", 2, Bounds.cube(-1.0, 1.0, 2), lambda x: 1.0, known_min=1.0)
     records = []
     params = PsoParams(n=5)
-    drive_trial("pso", pso_sweeps, params, flat, 7, EvalBudget(5 * 11), recorder=records.append)
+    run_trial("pso", flat, None, 5 * 11, 7, params, records.append)
     first = records[0].positions
     # recover the gbest index: with strict-improvement updates it is particle 0's
     # initial argmin; any stationary row works for the check
@@ -56,8 +54,7 @@ def test_pso_monotone_best_and_accounting():
     counter = CallCounter(SPHERE2.fn)
     obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0, np.zeros(2))
     records = []
-    budget = EvalBudget(8 * 51)
-    result = drive_trial("pso", pso_sweeps, params, obj, 3, budget, recorder=records.append)
+    result = run_trial("pso", obj, None, 8 * 51, 3, params, records.append)
     assert result.evaluations_used == counter.calls == 8 + 8 * result.iterations
     best = [rec.best_value for rec in records]
     assert best == sorted(best, reverse=True)
@@ -67,8 +64,8 @@ def test_pso_monotone_best_and_accounting():
 
 def test_pso_deterministic():
     params = PsoParams(n=6)
-    r1 = drive_trial("pso", pso_sweeps, params, SPHERE2, 42, EvalBudget(6 * 21))
-    r2 = drive_trial("pso", pso_sweeps, params, SPHERE2, 42, EvalBudget(6 * 21))
+    r1 = run_trial("pso", SPHERE2, None, 6 * 21, 42, params)
+    r2 = run_trial("pso", SPHERE2, None, 6 * 21, 42, params)
     assert r1 == r2
 
 
@@ -78,23 +75,23 @@ def test_pso_sphere_d2_reaches_tolerance():
     successes = 0
     for k in range(100):
         seed = derive_seed(20, "pso", k)
-        r = drive_trial("pso", pso_sweeps, params, SPHERE2, seed, EvalBudget(20_000), stop_at=1e-5)
+        r = run_trial("pso", SPHERE2, 1e-5, 20_000, seed, params)
         successes += r.success
     assert successes >= 90
 
 
 def test_pso_budget_not_multiple_of_population():
     params = PsoParams(n=8)
-    budget = EvalBudget(8 + 3 * 8 + 5)
-    result = drive_trial("pso", pso_sweeps, params, SPHERE2, 9, budget)
-    assert result.evaluations_used == budget.max_evaluations
+    max_evals = 8 + 3 * 8 + 5
+    result = run_trial("pso", SPHERE2, None, max_evals, 9, params)
+    assert result.evaluations_used == max_evals
     assert result.iterations == 3
 
 
 def test_ga_population_size_constant():
     params = GaParams(n=10)
     records = []
-    drive_trial("ga", ga_sweeps, params, SPHERE2, 5, EvalBudget(10 * 9), recorder=records.append)
+    run_trial("ga", SPHERE2, None, 10 * 9, 5, params, records.append)
     assert len(records) == 8
     for rec in records:
         assert rec.positions.shape == (10, 2)
@@ -106,7 +103,7 @@ def test_ga_degenerate_operators_copy_parents():
     rng = RandomStream(17)
     # regenerate the initial population exactly as ga_sweeps draws it
     init = _initial_population(SPHERE2.bounds, 12, rng)
-    drive_trial("ga", ga_sweeps, params, SPHERE2, 17, EvalBudget(12 * 2), recorder=records.append)
+    run_trial("ga", SPHERE2, None, 12 * 2, 17, params, records.append)
     offspring = records[0].positions
     for row in offspring:
         assert any(np.array_equal(row, parent) for parent in init)
@@ -119,7 +116,7 @@ def test_ga_progress_on_sphere():
     for k in range(100):
         records = []
         seed = derive_seed(30, "ga", k)
-        drive_trial("ga", ga_sweeps, params, SPHERE2, seed, EvalBudget(10_000), recorder=records.append)
+        run_trial("ga", SPHERE2, None, 10_000, seed, params, records.append)
         early = [rec.best_value for rec in records if 40 + 40 * rec.iteration <= 1_000]
         at_1k.append(early[-1])
         at_10k.append(records[-1].best_value)
@@ -129,7 +126,7 @@ def test_ga_progress_on_sphere():
 def test_ga_best_ever_monotone_without_elitism():
     params = GaParams(n=10)
     records = []
-    drive_trial("ga", ga_sweeps, params, SPHERE2, 23, EvalBudget(10 * 61), recorder=records.append)
+    run_trial("ga", SPHERE2, None, 10 * 61, 23, params, records.append)
     best = [rec.best_value for rec in records]
     assert best == sorted(best, reverse=True)
     population_minima = [min(SPHERE2(p) for p in rec.positions) for rec in records]
@@ -141,15 +138,14 @@ def test_ga_accounting_with_counter_oracle():
     params = GaParams(n=10)
     counter = CallCounter(SPHERE2.fn)
     obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0, np.zeros(2))
-    budget = EvalBudget(10 * 26)
-    result = drive_trial("ga", ga_sweeps, params, obj, 3, budget)
+    result = run_trial("ga", obj, None, 10 * 26, 3, params)
     assert result.evaluations_used == counter.calls == 10 + 10 * result.iterations
 
 
 def test_ga_deterministic():
     params = GaParams(n=8)
-    r1 = drive_trial("ga", ga_sweeps, params, SPHERE2, 99, EvalBudget(8 * 16))
-    r2 = drive_trial("ga", ga_sweeps, params, SPHERE2, 99, EvalBudget(8 * 16))
+    r1 = run_trial("ga", SPHERE2, None, 8 * 16, 99, params)
+    r2 = run_trial("ga", SPHERE2, None, 8 * 16, 99, params)
     assert r1 == r2
 
 
@@ -173,8 +169,8 @@ def test_operator_rates_over_1e5_offspring():
 
 
 def test_baselines_budget_below_population():
-    assert not drive_trial("pso", pso_sweeps, PsoParams(), SPHERE2, 1, EvalBudget(10), stop_at=1e-5).success
-    assert not drive_trial("ga", ga_sweeps, GaParams(), SPHERE2, 1, EvalBudget(10), stop_at=1e-5).success
+    assert not run_trial("pso", SPHERE2, 1e-5, 10, 1, PsoParams()).success
+    assert not run_trial("ga", SPHERE2, 1e-5, 10, 1, GaParams()).success
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,18 +187,14 @@ def test_rows_and_point_calls_agree_and_charge_exactly(algorithm, n, sweeps, dat
     # give the same trial.
     cut = data.draw(st.integers(1, n - 1), label="cut")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    generator, params = {"pso": (pso_sweeps, PsoParams(n=n)), "ga": (ga_sweeps, GaParams(n=n))}[algorithm]
+    params = {"pso": PsoParams(n=n), "ga": GaParams(n=n)}[algorithm]
     rastrigin = benchmark_spec("rastrigin", 3).objective
     counter = CallCounter(rastrigin.fn)
     wrapped = dataclasses.replace(rastrigin, fn=counter)
     max_evals = n + sweeps * n + cut
     by_rows, by_points = [], []
-    rows = drive_trial(
-        algorithm, generator, params, rastrigin, seed, EvalBudget(max_evals), recorder=by_rows.append
-    )
-    points = drive_trial(
-        algorithm, generator, params, wrapped, seed, EvalBudget(max_evals), recorder=by_points.append
-    )
+    rows = run_trial(algorithm, rastrigin, None, max_evals, seed, params, by_rows.append)
+    points = run_trial(algorithm, wrapped, None, max_evals, seed, params, by_points.append)
     assert rows == points
     assert rows.evaluations_used == counter.calls == max_evals
     assert rows.iterations == sweeps
@@ -218,9 +210,9 @@ def test_baselines_equal_reference_on_cut_sweeps(algorithm, function, dim):
     # counts towards the best but not as an iteration.  Each budget runs with
     # the default constants and with non-default ones, so a regrouping that
     # scaling by a default (c1 = c2 = 2, inertia 1) would leave exact is caught.
-    sweeps, params_cls, reference, knobs = {
-        "pso": (pso_sweeps, PsoParams, reference_pso, {"inertia": 0.729, "c1": 1.49445, "c2": 1.7}),
-        "ga": (ga_sweeps, GaParams, reference_ga, {"p_mutation": 0.2, "p_crossover": 0.6}),
+    params_cls, reference, knobs = {
+        "pso": (PsoParams, reference_pso, {"inertia": 0.729, "c1": 1.49445, "c2": 1.7}),
+        "ga": (GaParams, reference_ga, {"p_mutation": 0.2, "p_crossover": 0.6}),
     }[algorithm]
     obj = benchmark_spec(function, dim).objective
     for k in (0, 1, 12):
@@ -229,7 +221,7 @@ def test_baselines_equal_reference_on_cut_sweeps(algorithm, function, dim):
                 for overrides in ({}, knobs):
                     max_evals = 40 + k * 40 + r
                     params = params_cls(**overrides)
-                    result = drive_trial(algorithm, sweeps, params, obj, seed, EvalBudget(max_evals))
+                    result = run_trial(algorithm, obj, None, max_evals, seed, params)
                     ref = reference(obj, seed, max_evals, **overrides)
                     assert result.best_value == ref.best_value, overrides
                     assert result.best_position == ref.best_position, overrides

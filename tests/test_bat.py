@@ -10,14 +10,13 @@ from batbench.bat import (
     accept,
     average_loudness,
     bat_step,
-    bat_sweeps,
     global_move,
     init_bats,
     local_walk,
 )
 from batbench.benchmarks import benchmark_spec
 from batbench.core import BudgetExceededError, Bounds, EvalBudget, Objective, RandomStream, scores_rows
-from batbench.harness import drive_trial
+from batbench.harness import run_trial
 from oracles import CallCounter, reference_bat
 
 WIDE = Bounds.cube(-1e6, 1e6, 1)
@@ -252,9 +251,8 @@ def test_run_accounting_and_bounds_sweep():
     params = BatParams(n=10)
     counter = CallCounter(SPHERE2.fn)
     obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0, np.zeros(2))
-    budget = EvalBudget(10 * 31)
     records = []
-    result = drive_trial("bat", bat_sweeps, params, obj, 21, budget, recorder=records.append)
+    result = run_trial("bat", obj, None, 10 * 31, 21, params, records.append)
     assert result.evaluations_used == counter.calls
     assert result.evaluations_used == 10 + 10 * result.iterations
     assert result.iterations == 30
@@ -283,8 +281,8 @@ def test_marked_objective_gives_the_unmarked_trial_and_charges_only_used_values(
     limit = 20 + 20 * 30 + 7
     marked_obj = dataclasses.replace(rastrigin, fn=marked)
     counted_obj = dataclasses.replace(rastrigin, fn=counter)
-    rows = drive_trial("bat", bat_sweeps, params, marked_obj, 5, EvalBudget(limit))
-    points = drive_trial("bat", bat_sweeps, params, counted_obj, 5, EvalBudget(limit))
+    rows = run_trial("bat", marked_obj, None, limit, 5, params)
+    points = run_trial("bat", counted_obj, None, limit, 5, params)
     assert rows == points
     assert counter.calls == points.evaluations_used == limit
     assert sum(rows_per_call) >= rows.evaluations_used
@@ -322,16 +320,15 @@ def test_zero_frequency_zero_velocity_improves_only_via_local_walk():
     for v in state.velocities:
         assert np.array_equal(v, np.zeros(2))
     records = []
-    budget2 = EvalBudget(10 * 51)
-    drive_trial("bat", bat_sweeps, params, SPHERE2, 5, budget2, recorder=records.append)
+    run_trial("bat", SPHERE2, None, 10 * 51, 5, params, records.append)
     assert records[-1].best_value < records[0].best_value
 
 
 def test_run_bat_deterministic_trials_and_trajectories():
     params = BatParams(n=9)
     rec1, rec2 = [], []
-    r1 = drive_trial("bat", bat_sweeps, params, SPHERE2, 77, EvalBudget(9 * 26), recorder=rec1.append)
-    r2 = drive_trial("bat", bat_sweeps, params, SPHERE2, 77, EvalBudget(9 * 26), recorder=rec2.append)
+    r1 = run_trial("bat", SPHERE2, None, 9 * 26, 77, params, rec1.append)
+    r2 = run_trial("bat", SPHERE2, None, 9 * 26, 77, params, rec2.append)
     assert r1 == r2  # wall_time excluded from comparison
     assert len(rec1) == len(rec2)
     for a, b in zip(rec1, rec2):
@@ -342,8 +339,7 @@ def test_run_bat_deterministic_trials_and_trajectories():
 
 def test_run_bat_stops_at_tolerance_with_iteration_granularity():
     params = BatParams(n=10)
-    budget = EvalBudget(20_000)
-    result = drive_trial("bat", bat_sweeps, params, SPHERE2, 3, budget, stop_at=1.0)
+    result = run_trial("bat", SPHERE2, 1.0, 20_000, 3, params)
     assert result.success
     assert result.best_value <= 1.0
     assert result.evaluations_used == 10 + 10 * result.iterations
@@ -354,8 +350,7 @@ def test_run_bat_budget_below_init_cost():
     params = BatParams(n=40)
     with pytest.raises(BudgetExceededError):
         init_bats(params, SPHERE2, RandomStream(1), EvalBudget(10))
-    budget = EvalBudget(10)
-    result = drive_trial("bat", bat_sweeps, params, SPHERE2, 1, budget, stop_at=1e-5)
+    result = run_trial("bat", SPHERE2, 1e-5, 10, 1, params)
     assert not result.success
     assert result.evaluations_used == 0
     assert result.iterations == 0
@@ -363,14 +358,14 @@ def test_run_bat_budget_below_init_cost():
 
 def test_run_bat_partial_iteration_on_odd_budget():
     params = BatParams(n=40)
-    budget = EvalBudget(40 + 2 * 40 + 15)
-    result = drive_trial("bat", bat_sweeps, params, SPHERE2, 13, budget)
-    swarm_budget = EvalBudget(budget.max_evaluations)
+    max_evals = 40 + 2 * 40 + 15
+    result = run_trial("bat", SPHERE2, None, max_evals, 13, params)
+    swarm_budget = EvalBudget(max_evals)
     state = _final_swarm(params, 13, swarm_budget)
     assert swarm_budget.remaining == 0
     assert state.iteration == 2
     assert result.iterations == 2
-    assert result.evaluations_used == budget.max_evaluations
+    assert result.evaluations_used == max_evals
 
 
 def test_bat_step_cut_sweep_uses_remaining_budget_and_leaves_moves():
@@ -420,7 +415,7 @@ def test_run_bat_equals_reference_on_small_swarms_and_cut_sweeps(function, dim):
     for seed, (n, extra) in enumerate(cases):
         for knobs in ({}, {"f_min": 0.5, "f_max": 2.0, "alpha": 0.95, "gamma": 0.3}):
             params = BatParams(n=n, **knobs)
-            result = drive_trial("bat", bat_sweeps, params, obj, seed, EvalBudget(n + extra))
+            result = run_trial("bat", obj, None, n + extra, seed, params)
             ref = reference_bat(obj, seed, n + extra, n=n, **knobs)
             assert result.best_value == ref.best_value, knobs
             assert result.best_position == ref.best_position, knobs

@@ -8,7 +8,6 @@ from batbench.benchmarks import (
     UnknownBenchmarkError,
     benchmark_spec,
     dim_constraint,
-    evaluate_benchmark,
     michalewicz,
     multiple_peaks,
     registry_names,
@@ -21,16 +20,16 @@ TWO_PI = 2.0 * np.pi
 
 
 def test_paper_stated_optima():
-    assert evaluate_benchmark("rosenbrock_paper", [1.0, 1.0]) == 0.0
+    assert benchmark_spec("rosenbrock_paper", 2).objective([1.0, 1.0]) == 0.0
     # The printed squared-variable form also vanishes at x1 = -1.
-    assert evaluate_benchmark("rosenbrock_paper", [-1.0, 1.0]) == 0.0
-    assert evaluate_benchmark("eggcrate", [0.0, 0.0]) == 0.0
-    assert evaluate_benchmark("dejong_sphere", np.zeros(256)) == 0.0
-    assert abs(evaluate_benchmark("ackley", np.zeros(128))) <= 1e-12
+    assert benchmark_spec("rosenbrock_paper", 2).objective([-1.0, 1.0]) == 0.0
+    assert benchmark_spec("eggcrate", 2).objective([0.0, 0.0]) == 0.0
+    assert benchmark_spec("dejong_sphere", 256).objective(np.zeros(256)) == 0.0
+    assert abs(benchmark_spec("ackley", 128).objective(np.zeros(128))) <= 1e-12
 
 
 def test_eggcrate_hand_substitution():
-    value = evaluate_benchmark("eggcrate", [np.pi / 2, 0.0])
+    value = benchmark_spec("eggcrate", 2).objective([np.pi / 2, 0.0])
     assert value == pytest.approx(np.pi**2 / 4 + 25.0, abs=1e-12)
 
 
@@ -75,9 +74,9 @@ def test_benchmark_spec_errors():
     with pytest.raises(UnknownBenchmarkError):
         benchmark_spec("nosuch", 2)
     with pytest.raises(UnknownBenchmarkError):
-        evaluate_benchmark("nosuch", [0.0])
+        benchmark_spec("nosuch", 1).objective([0.0])
     with pytest.raises(ValueError):
-        evaluate_benchmark("eggcrate", [0.0, 0.0, 0.0])
+        benchmark_spec("eggcrate", 3).objective([0.0, 0.0, 0.0])
 
 
 def test_objective_call_takes_a_list():
@@ -117,7 +116,7 @@ def test_rosenbrock_paper_zero_chain(dim, negative_first):
     x = np.ones(dim)
     if negative_first:
         x[0] = -1.0
-    assert evaluate_benchmark("rosenbrock_paper", x) == 0.0
+    assert benchmark_spec("rosenbrock_paper", dim).objective(x) == 0.0
 
 
 @given(
@@ -125,14 +124,15 @@ def test_rosenbrock_paper_zero_chain(dim, negative_first):
     st.floats(min_value=-TWO_PI, max_value=TWO_PI, allow_nan=False),
 )
 def test_eggcrate_symmetry(x, y):
-    g = evaluate_benchmark("eggcrate", [x, y])
-    assert g == pytest.approx(evaluate_benchmark("eggcrate", [-x, -y]), rel=1e-12, abs=1e-12)
-    assert g == pytest.approx(evaluate_benchmark("eggcrate", [y, x]), rel=1e-12, abs=1e-12)
+    eggcrate = benchmark_spec("eggcrate", 2).objective
+    g = eggcrate([x, y])
+    assert g == pytest.approx(eggcrate([-x, -y]), rel=1e-12, abs=1e-12)
+    assert g == pytest.approx(eggcrate([y, x]), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 16, 128, 256])
 def test_ackley_origin_exact(dim):
-    assert abs(evaluate_benchmark("ackley", np.zeros(dim))) <= 1e-12
+    assert abs(benchmark_spec("ackley", dim).objective(np.zeros(dim))) <= 1e-12
 
 
 def test_shubert_eighteen_global_minima():
@@ -168,7 +168,7 @@ def test_schwefel_oracle():
 
 
 def test_easom_minimum():
-    assert evaluate_benchmark("easom", [np.pi, np.pi]) == -1.0
+    assert benchmark_spec("easom", 2).objective([np.pi, np.pi]) == -1.0
     spec = benchmark_spec("easom", 2)
     assert spec.objective.known_min == -1.0
 

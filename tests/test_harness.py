@@ -4,26 +4,27 @@ import importlib
 import math
 import re
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from batbench import harness
-from batbench.benchmarks import benchmark_spec
-from batbench.core import Bounds, EvalBudget, Objective, counted_evaluate_rows, derive_seed, scores_rows
+from batbench.benchmarks import benchmark_spec, dim_constraint
+from batbench.baselines import GaParams, PsoParams
+from batbench.bat import BatParams
+from batbench.core import Bounds, Objective, counted_evaluate_rows, derive_seed, scores_rows
 from batbench.harness import (
     ALGORITHMS,
+    Algorithm,
     UnknownAlgorithmError,
     ExperimentSummary,
     TrialResult,
-    drive_trial,
     experiment_trials,
     run_trial,
     summarize,
 )
-from oracles import welford
+from oracles import FROZEN_FORMULAS, REFERENCE_RUNNERS, CallCounter, welford
 
 SPHERE2 = benchmark_spec("dejong_sphere", 2).objective
 
@@ -97,10 +98,16 @@ def test_every_params_field_is_set_from_the_cli(algorithm):
     assert fields == {"n"} | set(entry.flags.values())
 
 
-def test_drive_trial_counts_a_sweep_only_when_it_charged_n():
+@dataclasses.dataclass(frozen=True)
+class _ToyParams:
+    n: int = 4
+
+
+def test_a_registered_sweep_generator_counts_a_sweep_only_when_it_charged_n(monkeypatch):
     # The sweeps never signal a cut: with n = 4 and a budget of 10 the
     # second sweep charges 2, ends the trial and is not an iteration.
-    budget = EvalBudget(10)
+    counter = CallCounter(SPHERE2.fn)
+    obj = dataclasses.replace(SPHERE2, fn=counter)
     rows = np.zeros((4, 2))
 
     def sweeps(params, obj, budget, rng):
@@ -108,13 +115,13 @@ def test_drive_trial_counts_a_sweep_only_when_it_charged_n():
             counted_evaluate_rows(obj, rows, budget)
             yield 0.0, rows[0], rows
 
+    monkeypatch.setitem(ALGORITHMS, "toy", Algorithm(_ToyParams, sweeps, {}))
     records = []
-    result = drive_trial(
-        "toy", sweeps, SimpleNamespace(n=4), SPHERE2, 0, budget, recorder=records.append
-    )
+    result = run_trial("toy", obj, None, 10, 0, recorder=records.append)
+    assert result.algorithm == "toy"
     assert result.iterations == 1
     assert [r.iteration for r in records] == [1]
-    assert result.evaluations_used == budget.used == 10
+    assert result.evaluations_used == counter.calls == 10
 
 
 @pytest.mark.parametrize("algorithm", ["bat", "pso", "ga"])
@@ -122,14 +129,33 @@ def test_runners_reject_an_undefined_tolerance(algorithm):
     # Without a known minimum, or with a NaN or negative tolerance, success
     # cannot be decided; each algorithm's trial raises before it evaluates
     # anything.
-    entry = ALGORITHMS[algorithm]
-    params = entry.params(n=4)
+    params = ALGORITHMS[algorithm].params(n=4)
     no_min = Objective("nomin", 2, Bounds.cube(-1.0, 1.0, 2), lambda x: float(x @ x))
     for obj, stop_at in ((no_min, 1.0), (SPHERE2, math.nan), (SPHERE2, -1.0)):
-        budget = EvalBudget(40)
+        counter = CallCounter(obj.fn)
         with pytest.raises(ValueError):
-            drive_trial(algorithm, entry.sweeps, params, obj, 0, budget, stop_at=stop_at)
-        assert budget.used == 0
+            run_trial(algorithm, dataclasses.replace(obj, fn=counter), stop_at, 40, 0, params)
+        assert counter.calls == 0
+
+
+@pytest.mark.parametrize(
+    "algorithm, wrong",
+    [("bat", PsoParams()), ("pso", GaParams()), ("ga", PsoParams()), ("ga", BatParams())],
+    ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+)
+def test_params_of_another_algorithm_are_refused_before_any_evaluation(algorithm, wrong):
+    counter = CallCounter(SPHERE2.fn)
+    obj = dataclasses.replace(SPHERE2, fn=counter)
+    with pytest.raises(ValueError, match=type(wrong).__name__):
+        run_trial(algorithm, obj, None, 400, 0, params=wrong)
+    with pytest.raises(ValueError, match=type(wrong).__name__):
+        experiment_trials(["bat", "pso", "ga"], obj, None, 400, 2, 0, params_by_algorithm={algorithm: wrong})
+    assert counter.calls == 0
+    # The error order: an unknown algorithm, then params, then the budget and the tolerance.
+    with pytest.raises(UnknownAlgorithmError):
+        run_trial("annealer", obj, None, 0, 0, params=wrong)
+    with pytest.raises(ValueError, match=type(wrong).__name__):
+        run_trial(algorithm, obj, math.nan, 0, 0, params=wrong)
 
 
 def test_run_trial_budget_below_init():
@@ -186,6 +212,70 @@ def test_non_finite_values_rank_worst(algorithm, slabs, rows):
         assert r.best_value == masked(np.array(r.best_position))
     assert r.success == (r.best_value <= 1e-5)
     assert r.evaluations_used == 400 or r.success
+
+
+def _probability():
+    return st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+_KNOBS = {
+    "bat": st.fixed_dictionaries({
+        "f_min": st.sampled_from([0.0, 0.5]) | st.floats(0.0, 10.0),
+        "f_max": st.sampled_from([0.0]) | st.floats(0.0, 100.0),  # added to f_min
+        "alpha": st.sampled_from([0.5, 1.0 - 1e-12]) | st.floats(0.01, 0.999),
+        "gamma": st.sampled_from([1e-3, 0.9]) | st.floats(0.01, 5.0),
+    }),
+    "pso": st.fixed_dictionaries({
+        "inertia": st.sampled_from([0.0, 1.0]) | st.floats(-1.0, 1.2),
+        "c1": st.sampled_from([0.0, 2.0]) | st.floats(0.0, 4.0),
+        "c2": st.sampled_from([0.0, 2.0]) | st.floats(0.0, 4.0),
+    }),
+    "ga": st.fixed_dictionaries({"p_mutation": _probability(), "p_crossover": _probability()}),
+}
+
+
+@st.composite
+def _configurations(draw):
+    """A trial anywhere in the configuration space the references cover."""
+    algorithm = draw(st.sampled_from(sorted(REFERENCE_RUNNERS)))
+    function = draw(st.sampled_from(sorted(FROZEN_FORMULAS)))
+    tolerance = draw(st.sampled_from([None, 0.0, 1e-5, 1.0, 10.0, 100.0]))
+    kind, least = dim_constraint(function).split("=")
+    if kind == "d":
+        dim = int(least)
+    elif function == "michalewicz" and tolerance is not None:
+        dim = draw(st.sampled_from([2, 5]))  # its only stored minima
+    else:
+        dim = draw(st.integers(int(least), 6))
+    sizes = ([1] if algorithm == "bat" else []) + [2, 3, 40]
+    n = draw(st.sampled_from(sizes) | st.integers(2, 12).map(lambda k: 2 * k + 1))
+    max_evals = n + draw(st.integers(0, 12)) * n + draw(st.integers(0, n - 1))
+    knobs = draw(st.none() | _KNOBS[algorithm]) or {}
+    if "f_max" in knobs:
+        knobs["f_max"] += knobs["f_min"]
+    seed = draw(st.integers(0, 2**64 - 1))
+    return algorithm, function, dim, tolerance, n, max_evals, knobs, seed
+
+
+@settings(max_examples=400, deadline=None)
+@given(_configurations())
+def test_run_trial_equals_the_references_across_the_configuration_space(configuration):
+    # Every TrialResult field equals the reference's, and a trial that ended
+    # on a whole sweep recorded the reference's final population, bit for bit.
+    algorithm, function, dim, tolerance, n, max_evals, knobs, seed = configuration
+    objective = benchmark_spec(function, dim).objective
+    params = ALGORITHMS[algorithm].params(n=n, **knobs)
+    records = []
+    result = run_trial(algorithm, objective, tolerance, max_evals, seed, params, records.append)
+    ref = REFERENCE_RUNNERS[algorithm](objective, seed, max_evals, tolerance, n=n, **knobs)
+    assert (result.algorithm, result.function, result.dim, result.seed) == (algorithm, function, dim, seed)
+    assert result.best_value == ref.best_value
+    assert result.best_position == ref.best_position
+    assert result.evaluations_used == ref.evaluations_used
+    assert result.iterations == ref.iterations
+    assert result.success == ref.success
+    if records and result.evaluations_used == n * (result.iterations + 1):
+        assert records[-1].positions.tobytes() == ref.positions.tobytes()
 
 
 def test_run_trial_deterministic():
