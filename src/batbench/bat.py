@@ -201,10 +201,7 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
     n(3 + d) uniforms and gives back what it did not use, so the stream
     ends where bat-by-bat draws would leave it.
 
-    Charges the first min(n, budget.remaining) candidates.  A sweep the
-    budget cuts short is no iteration: it keeps its acceptances and leaves
-    the iteration counter, velocities and frequencies as they were; the
-    stream's position after it is not specified.
+    Charges the first min(n, budget.remaining) candidates.
     """
     rng, bounds = state.rng, obj.bounds
     n, d = state.positions.shape
@@ -239,8 +236,6 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
             accept(state, i, candidates[i], value, params)
             velocities[i + 1 :], candidates[i + 1 :], _ = moves(i + 1)
             values = counted_values(obj, candidates[i + 1 :], state.budget)
-    if evaluated < n:
-        return state
     state.velocities[:] = velocities
     state.frequencies[:] = frequencies
     rng.rewind(block.size - used)

@@ -39,7 +39,6 @@ from .harness import (
     UnknownAlgorithmError,
     check_campaign,
     experiment_trials,
-    lookup_algorithm,
     run_trial,
     summarize,
 )
@@ -155,20 +154,25 @@ def _cmd_list(_: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> tuple[str, list]:
-    """The resolved config and, per function, every algorithm's trials.
+def _checked(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> tuple[str, list, dict]:
+    """The resolved config, the objectives and each algorithm's params.
 
     Every function is looked up and sized, then check_campaign checks the
     whole campaign, then the params are built; every error is raised
     before any trial runs.  In a command with two errors the earlier step
     reports: an unknown function or a bad --dim before an unknown
     algorithm, and a bad setting before a bad params flag.
-    experiment_trials repeats its own objective's check for library callers.
-    A failure in a trial is a runtime one.
     """
     objectives = [benchmark_spec(name, args.dim).objective for name in functions]
     check_campaign(algorithms, objectives, args.tolerance, args.max_evals, args.trials, args.workers)
-    params_by_algorithm = _build_params(args, algorithms)
+    return _config(args, algorithms, functions), objectives, _build_params(args, algorithms)
+
+
+def _campaign(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> tuple[str, list]:
+    """The resolved config and, per function, every algorithm's trials.
+    experiment_trials repeats _checked's check for library callers; a
+    failure in a trial is a runtime one."""
+    config, objectives, params_by_algorithm = _checked(args, algorithms, functions)
     with _trials_running():
         campaigns = [
             experiment_trials(
@@ -183,7 +187,7 @@ def _campaign(args: argparse.Namespace, algorithms: tuple, functions: tuple) -> 
             )
             for objective in objectives
         ]
-    return _config(args, algorithms, functions), campaigns
+    return config, campaigns
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -247,15 +251,14 @@ def _trace_writer(out: TextIO, n: int, d: int) -> Callable[[TrajectoryRecord], N
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    # The budget of exactly --iters sweeps after initialisation.
-    args.max_evals = args.pop * (args.iters + 1)
-    lookup_algorithm(args.algorithm)
     if args.iters < 1:
         raise ValueError("--iters must be >= 1")
-    objective = benchmark_spec(args.function, args.dim).objective
-    params = _build_params(args, (args.algorithm,))[args.algorithm]
+    # The budget of exactly --iters sweeps after initialisation.
+    args.max_evals = args.pop * (args.iters + 1)
+    config, [objective], by_algorithm = _checked(args, (args.algorithm,), (args.function,))
+    params = by_algorithm[args.algorithm]
 
-    with _output(args, _config(args, (args.algorithm,), (args.function,))) as out, _trials_running():
+    with _output(args, config) as out, _trials_running():
         write = _trace_writer(out, params.n, objective.dim)
         run_trial(args.algorithm, objective, None, args.max_evals, args.seed, params=params, recorder=write)
     return 0

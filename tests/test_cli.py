@@ -314,6 +314,9 @@ def test_invalid_configuration_exits_2_before_any_trial(tmp_path, monkeypatch, c
         (["run", "--algorithm", "bat", "--function", "dejong", "--workers", "0"], "workers must be >= 1"),
         (["compare", "--functions", ",", "--algorithms", "bat"], "need at least one algorithm and one function"),
         (["trace", "--algorithm", "bat", "--function", "dejong", "--iters", "0"], "--iters must be >= 1"),
+        # trace checks the function before the algorithm, as run does.
+        (["trace", "--algorithm", "annealer", "--function", "eggcrate", "--dim", "3", "--iters", "2"],
+         "eggcrate is only defined for d=2, got d=3"),
         # The second function's tolerance is refused before the first one's trials run.
         (["compare", "--functions", "dejong,michalewicz", "--dim", "16", "--tolerance", "0.1"],
          "michalewicz has no known minimum; tolerance-based success is undefined"),

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from batbench import harness
 from batbench.benchmarks import benchmark_spec, dim_constraint
@@ -158,15 +158,10 @@ def test_params_of_another_algorithm_are_refused_before_any_evaluation(algorithm
         run_trial(algorithm, obj, math.nan, 0, 0, params=wrong)
 
 
-def test_run_trial_budget_below_init():
-    r = run_trial("bat", SPHERE2, 1e-5, 10, seed=5)
-    assert not r.success
-    assert r.evaluations_used <= 10
-
-
 @pytest.mark.parametrize("algorithm", ["bat", "pso", "ga"])
 def test_run_trial_budget_below_population_evaluates_nothing(algorithm):
-    r = run_trial(algorithm, benchmark_spec("dejong_sphere", 2).objective, None, 10, seed=3)
+    r = run_trial(algorithm, SPHERE2, 1e-5, 10, seed=3)
+    assert not r.success
     assert r.best_value == math.inf
     assert r.best_position is None
     assert r.evaluations_used == 0
@@ -236,7 +231,8 @@ _KNOBS = {
 
 @st.composite
 def _configurations(draw):
-    """A trial anywhere in the configuration space the references cover."""
+    """A trial anywhere in the configuration space the references cover, and
+    whether it runs on the point path."""
     algorithm = draw(st.sampled_from(sorted(REFERENCE_RUNNERS)))
     function = draw(st.sampled_from(sorted(FROZEN_FORMULAS)))
     tolerance = draw(st.sampled_from([None, 0.0, 1e-5, 1.0, 10.0, 100.0]))
@@ -246,7 +242,7 @@ def _configurations(draw):
     elif function == "michalewicz" and tolerance is not None:
         dim = draw(st.sampled_from([2, 5]))  # its only stored minima
     else:
-        dim = draw(st.integers(int(least), 6))
+        dim = draw(st.integers(int(least), 6) | st.just(16))
     sizes = ([1] if algorithm == "bat" else []) + [2, 3, 40]
     n = draw(st.sampled_from(sizes) | st.integers(2, 12).map(lambda k: 2 * k + 1))
     max_evals = n + draw(st.integers(0, 12)) * n + draw(st.integers(0, n - 1))
@@ -254,19 +250,45 @@ def _configurations(draw):
     if "f_max" in knobs:
         knobs["f_max"] += knobs["f_min"]
     seed = draw(st.integers(0, 2**64 - 1))
-    return algorithm, function, dim, tolerance, n, max_evals, knobs, seed
+    points = draw(st.booleans())
+    return algorithm, function, dim, tolerance, n, max_evals, knobs, seed, points
+
+
+# Fixed cases: n = 40 sums the mean loudness over more than 8 bats, where
+# numpy's pairwise sum would differ; n = 1 runs whole sweeps only; an odd n
+# gives the GA its extra child; and constants other than the defaults catch
+# a regrouping that scaling by a default would leave exact.  A cut budget
+# ends inside the 13th sweep.
+_CUT = 40 + 12 * 40 + 39
+_BAT_KNOBS = {"f_min": 0.5, "f_max": 2.0, "alpha": 0.95, "gamma": 0.3}
+_PSO_KNOBS = {"inertia": 0.729, "c1": 1.49445, "c2": 1.7}
+_GA_KNOBS = {"p_mutation": 0.2, "p_crossover": 0.6}
 
 
 @settings(max_examples=400, deadline=None)
 @given(_configurations())
+@example(("bat", "ackley", 16, None, 40, _CUT, _BAT_KNOBS, 0, False))
+@example(("bat", "griewank", 16, None, 40, _CUT, _BAT_KNOBS, 1, True))
+@example(("bat", "dejong_sphere", 1, None, 1, 1, {}, 2, False))
+@example(("bat", "rastrigin", 1, None, 1, 2, _BAT_KNOBS, 3, True))
+@example(("bat", "eggcrate", 2, None, 1, 26, {}, 4, False))
+@example(("pso", "rastrigin", 3, None, 40, _CUT, _PSO_KNOBS, 5, False))
+@example(("pso", "dejong_sphere", 2, None, 40, _CUT, _PSO_KNOBS, 6, True))
+@example(("ga", "rastrigin", 3, None, 40, _CUT, _GA_KNOBS, 7, False))
+@example(("ga", "dejong_sphere", 2, None, 40, _CUT, _GA_KNOBS, 8, True))
+@example(("ga", "rastrigin", 3, None, 25, 25 + 12 * 25 + 24, {}, 9, False))
 def test_run_trial_equals_the_references_across_the_configuration_space(configuration):
     # Every TrialResult field equals the reference's, and a trial that ended
-    # on a whole sweep recorded the reference's final population, bit for bit.
-    algorithm, function, dim, tolerance, n, max_evals, knobs, seed = configuration
+    # on a whole sweep recorded the reference's final population, bit for
+    # bit.  On the point path a call counter unmarks the registry function,
+    # which is then called once per charged evaluation.
+    algorithm, function, dim, tolerance, n, max_evals, knobs, seed, points = configuration
     objective = benchmark_spec(function, dim).objective
+    counter = CallCounter(objective.fn)
+    trial_objective = dataclasses.replace(objective, fn=counter) if points else objective
     params = ALGORITHMS[algorithm].params(n=n, **knobs)
     records = []
-    result = run_trial(algorithm, objective, tolerance, max_evals, seed, params, records.append)
+    result = run_trial(algorithm, trial_objective, tolerance, max_evals, seed, params, records.append)
     ref = REFERENCE_RUNNERS[algorithm](objective, seed, max_evals, tolerance, n=n, **knobs)
     assert (result.algorithm, result.function, result.dim, result.seed) == (algorithm, function, dim, seed)
     assert result.best_value == ref.best_value
@@ -274,14 +296,10 @@ def test_run_trial_equals_the_references_across_the_configuration_space(configur
     assert result.evaluations_used == ref.evaluations_used
     assert result.iterations == ref.iterations
     assert result.success == ref.success
+    if points:
+        assert counter.calls == result.evaluations_used
     if records and result.evaluations_used == n * (result.iterations + 1):
         assert records[-1].positions.tobytes() == ref.positions.tobytes()
-
-
-def test_run_trial_deterministic():
-    a = run_trial("bat", SPHERE2, 1e-5, 2_000, seed=123)
-    b = run_trial("bat", SPHERE2, 1e-5, 2_000, seed=123)
-    assert a == b  # wall_time excluded from equality
 
 
 def test_experiment_counts_and_seed_derivation():
@@ -328,21 +346,6 @@ def test_experiment_all_failures_reports_absent_markers():
     # budget below init cost: every trial fails
     s = summarize(experiment_trials(["bat"], SPHERE2, 1e-5, 20, trials=4, master_seed=1)["bat"])
     assert s == ExperimentSummary(mean_evals=None, std_evals=None, success_rate=0.0, trial_count=4)
-
-
-def test_evaluations_used_is_count_at_first_success():
-    r = run_trial("bat", SPHERE2, 5.0, 100_000, seed=2)
-    assert r.success
-    assert r.evaluations_used == 40 + 40 * r.iterations
-    assert r.evaluations_used < 100_000
-
-
-def test_trial_result_success_invariant():
-    for algo in ("bat", "pso", "ga"):
-        r = run_trial(algo, SPHERE2, 1e-2, 4_000, seed=11)
-        if r.success:
-            assert r.best_value - SPHERE2.known_min <= 1e-2
-        assert r.evaluations_used <= 4_000
 
 
 def _imports(path):
