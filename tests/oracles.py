@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import ndimage
@@ -436,3 +436,54 @@ FROZEN_FORMULAS = {
     "shubert": _shubert,
     "multiple_peaks": _multiple_peaks,
 }
+
+
+# ---------------------------------------------------------------------------
+# The registry's entries, frozen from the literature definitions the README
+# cites.  The references read the box and the minimum from the Objective
+# they are given, so only this table can see a wrong one.
+# ---------------------------------------------------------------------------
+
+
+class RegistryEntry(NamedTuple):
+    """A function's box [lo, hi] in every coordinate, the dimensions it takes
+    as `list-functions` prints them, and its known minimum and minimizer at
+    dimension d (None where none is stored)."""
+
+    lo: float
+    hi: float
+    dims: str
+    minimum: Callable[[int], Optional[tuple[float, list[float]]]]
+
+    def takes(self, d: int) -> bool:
+        kind, least = self.dims.split("=")
+        return d == int(least) if kind == "d" else d >= int(least)
+
+
+_MICHALEWICZ = {  # stored at d=2 and d=5 only
+    2: (-1.8013034100985537, [2.202905520481451, math.pi / 2]),
+    5: (-4.687658179088151,
+        [2.202905520481451, math.pi / 2, 1.2849915707866182, 1.9230584692013135, 1.7204697721416045]),
+}
+_SCHWEFEL_X = 420.9687462275036
+
+REGISTRY = {
+    "rosenbrock_paper": RegistryEntry(-2.048, 2.048, "d>=2", lambda d: (0.0, [1.0] * d)),
+    "rosenbrock_classic": RegistryEntry(-2.048, 2.048, "d>=2", lambda d: (0.0, [1.0] * d)),
+    "eggcrate": RegistryEntry(-2 * math.pi, 2 * math.pi, "d=2", lambda d: (0.0, [0.0] * d)),
+    "dejong_sphere": RegistryEntry(-10.0, 10.0, "d>=1", lambda d: (0.0, [0.0] * d)),
+    "ackley": RegistryEntry(-30.0, 30.0, "d>=1", lambda d: (0.0, [0.0] * d)),
+    "michalewicz": RegistryEntry(0.0, math.pi, "d>=1", _MICHALEWICZ.get),
+    "rastrigin": RegistryEntry(-5.12, 5.12, "d>=1", lambda d: (0.0, [0.0] * d)),
+    "griewank": RegistryEntry(-600.0, 600.0, "d>=1", lambda d: (0.0, [0.0] * d)),
+    "easom": RegistryEntry(-100.0, 100.0, "d=2", lambda d: (-1.0, [math.pi, math.pi])),
+    # The frozen formula at the minimizer, about 1.27e-5 per coordinate.
+    "schwefel": RegistryEntry(
+        -500.0, 500.0, "d>=1", lambda d: (_schwefel([_SCHWEFEL_X] * d), [_SCHWEFEL_X] * d)
+    ),
+    "shubert": RegistryEntry(
+        -10.0, 10.0, "d=2", lambda d: (-186.7309088310239, [-1.425128429776018, -0.8003211022876466])
+    ),
+    "multiple_peaks": RegistryEntry(-5.0, 5.0, "d=2", lambda d: (-2.0, [3.0, 3.0])),
+}
+REGISTRY_ALIASES = {"sphere": "dejong_sphere", "dejong": "dejong_sphere"}

@@ -14,7 +14,7 @@ from batbench.benchmarks import (
     schwefel,
     shubert,
 )
-from oracles import FROZEN_FORMULAS, global_minima_2d, refine_1d, refine_2d
+from oracles import FROZEN_FORMULAS, REGISTRY, REGISTRY_ALIASES, global_minima_2d, refine_1d, refine_2d
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,30 +53,30 @@ def test_michalewicz_grid_refinement_oracle():
     assert total(5) == pytest.approx(benchmark_spec("michalewicz", 5).objective.known_min, abs=1e-9)
 
 
-def test_benchmark_spec_paper_domains():
-    spec = benchmark_spec("rosenbrock_paper", 16)
-    assert spec.objective.dim == 16
-    assert spec.objective.bounds.lower.tolist() == [-2.048] * 16
-    assert spec.objective.bounds.upper.tolist() == [2.048] * 16
-    assert spec.objective.known_min == 0.0
-    assert benchmark_spec("ackley", 128).objective.bounds.upper[0] == 30.0
-    assert benchmark_spec("michalewicz", 16).objective.bounds.upper[0] == pytest.approx(np.pi)
-    assert benchmark_spec("michalewicz", 16).objective.known_min is None
-    egg = benchmark_spec("eggcrate", 2).objective.bounds
-    assert egg.lower[0] == pytest.approx(-TWO_PI) and egg.upper[0] == pytest.approx(TWO_PI)
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_registry_entries_equal_the_frozen_table(name):
+    # Under every name and at every d in 1-6 and 16: the box, the known
+    # minimum and minimizer, or a refusal of a d the function does not take.
+    entry = REGISTRY[name]
+    assert registry_names() == sorted(REGISTRY)
+    for label in [name] + [alias for alias, canonical in REGISTRY_ALIASES.items() if canonical == name]:
+        assert dim_constraint(label) == entry.dims
+        for d in (1, 2, 3, 4, 5, 6, 16):
+            if not entry.takes(d):
+                with pytest.raises(ValueError):
+                    benchmark_spec(label, d)
+                continue
+            o = benchmark_spec(label, d).objective
+            argmin = None if o.known_argmin is None else o.known_argmin.tolist()
+            assert (o.name, o.dim) == (name, d)
+            assert (o.bounds.lower.tolist(), o.bounds.upper.tolist()) == ([entry.lo] * d, [entry.hi] * d)
+            assert (o.known_min, argmin) == (entry.minimum(d) or (None, None))
 
 
 def test_benchmark_spec_errors():
-    with pytest.raises(ValueError):
-        benchmark_spec("eggcrate", 3)
-    with pytest.raises(ValueError):
-        benchmark_spec("rosenbrock_paper", 1)
+    # A d the function does not take is refused in the frozen-table test.
     with pytest.raises(UnknownBenchmarkError):
         benchmark_spec("nosuch", 2)
-    with pytest.raises(UnknownBenchmarkError):
-        benchmark_spec("nosuch", 1).objective([0.0])
-    with pytest.raises(ValueError):
-        benchmark_spec("eggcrate", 3).objective([0.0, 0.0, 0.0])
 
 
 def test_objective_call_takes_a_list():
@@ -84,20 +84,11 @@ def test_objective_call_takes_a_list():
     assert objective([0.5, -1.0, 2.0]) == objective(np.array([0.5, -1.0, 2.0]))
 
 
-def test_aliases_resolve_to_sphere():
-    assert benchmark_spec("sphere", 4).objective.name == "dejong_sphere"
-    assert benchmark_spec("dejong", 4).objective.name == "dejong_sphere"
-
-
 def test_registry_known_minima_consistent():
-    for name in registry_names():
-        for dim in (2, 5, 16):
-            try:
-                spec = benchmark_spec(name, dim)
-            except ValueError:
-                continue
-            obj = spec.objective
-            if obj.known_min is not None and obj.known_argmin is not None:
+    for name, entry in REGISTRY.items():
+        for d in filter(entry.takes, (2, 5, 16)):
+            obj = benchmark_spec(name, d).objective
+            if obj.known_min is not None:
                 assert abs(obj(obj.known_argmin) - obj.known_min) <= 1e-9, name
 
 
@@ -169,19 +160,10 @@ def test_schwefel_oracle():
 
 def test_easom_minimum():
     assert benchmark_spec("easom", 2).objective([np.pi, np.pi]) == -1.0
-    spec = benchmark_spec("easom", 2)
-    assert spec.objective.known_min == -1.0
-
-
-def test_dim_constraints_exposed():
-    assert dim_constraint("eggcrate") == "d=2"
-    assert dim_constraint("ackley") == "d>=1"
-    assert dim_constraint("rosenbrock_paper") == "d>=2"
 
 
 def test_michalewicz_dim16_in_table_shape():
     # Table-style dims evaluate fine even without known metadata.
-    spec = benchmark_spec("michalewicz", 16)
     mid = np.full(16, np.pi / 2)
     assert np.isfinite(michalewicz(mid))
 

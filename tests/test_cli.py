@@ -1,5 +1,5 @@
+import contextlib
 import dataclasses
-import hashlib
 import io
 import json
 import math
@@ -7,109 +7,25 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from batbench import __version__, cli
 from batbench.cli import run_cli
-from batbench.benchmarks import benchmark_spec, registry_names
+from batbench.benchmarks import benchmark_spec
 from batbench.core import TrajectoryRecord
-from batbench.harness import default_params, run_trial
-
-
-def _sha(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _reject(constant):
-    """parse_constant hook: refuse the Infinity/NaN extensions json.loads accepts."""
-    raise ValueError(f"not JSON: {constant}")
+from batbench.harness import ALGORITHMS, experiment_trials, run_trial, summarize
+from oracles import REGISTRY, REGISTRY_ALIASES
 
 
 def test_list_functions(capsys):
     assert run_cli(["list-functions"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    names = [line.split()[0] for line in out]
-    assert names == registry_names()
-    constraints = {line.split()[0]: line.split()[1] for line in out}
-    assert constraints["eggcrate"] == "d=2"
-    assert constraints["dejong_sphere"] == "d>=1"
-
-
-def test_compare_byte_identical_reruns(tmp_path):
-    args = [
-        "compare", "--functions", "dejong", "--dim", "2",
-        "--algorithms", "bat,pso,ga", "--trials", "3",
-        "--max-evals", "600", "--seed", "7",
-    ]
-    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli(args + ["--output", str(f1)]) == 0
-    assert run_cli(args + ["--output", str(f2)]) == 0
-    assert _sha(f1) == _sha(f2)
-
-
-def test_compare_csv_shape_and_roundtrip(tmp_path):
-    out = tmp_path / "cmp.csv"
-    code = run_cli([
-        "compare", "--functions", "dejong,ackley", "--dim", "2",
-        "--algorithms", "bat,ga", "--trials", "4", "--tolerance", "0.5",
-        "--max-evals", "2000", "--seed", "3", "--output", str(out),
-    ])
-    assert code == 0
-    lines = out.read_text().splitlines()
-    comments = [l for l in lines if l.startswith("#")]
-    assert any("config" in c for c in comments)
-    config = json.loads(comments[1].split("# config ", 1)[1])
-    assert config["master_seed"] == 3
-    assert config["tool_version"] == __version__
-    data = [l for l in lines if not l.startswith("#")]
-    assert data[0] == "function,dim,algorithm,trials,mean_evals,std_evals,success_rate,master_seed,tool_version"
-    assert len(data) == 1 + 2 * 2  # header + (2 functions x 2 algorithms)
-    for row in data[1:]:
-        fields = row.split(",")
-        assert fields[0] in ("dejong_sphere", "ackley")
-        assert fields[1] == "2"
-        assert fields[3] == "4"
-        # 17-significant-digit serialization round-trips exactly
-        rate = float(fields[6])
-        assert 0.0 <= rate <= 1.0
-        assert format(rate, ".17g") == fields[6]
-
-
-def test_trace_paper_shape(tmp_path):
-    out = tmp_path / "trace.jsonl"
-    code = run_cli([
-        "trace", "--algorithm", "bat", "--function", "rosenbrock_paper",
-        "--dim", "2", "--pop", "25", "--iters", "20", "--seed", "1",
-        "--output", str(out),
-    ])
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 20
-    iters = []
-    for line in lines:
-        rec = json.loads(line)
-        assert set(rec) == {"iter", "positions", "best"}
-        assert len(rec["positions"]) == 25
-        assert all(len(p) == 2 for p in rec["positions"])
-        iters.append(rec["iter"])
-    assert iters == list(range(1, 21))
-    sidecar = tmp_path / "trace.jsonl.config.json"
-    assert sidecar.exists()
-    cfg = json.loads(sidecar.read_text())
-    assert cfg["subcommand"] == "trace" and cfg["iters"] == 20
-
-
-def test_trace_deterministic(tmp_path):
-    args = ["trace", "--algorithm", "pso", "--function", "eggcrate",
-            "--pop", "10", "--iters", "5", "--seed", "9"]
-    f1, f2 = tmp_path / "t1.jsonl", tmp_path / "t2.jsonl"
-    assert run_cli(args + ["--output", str(f1)]) == 0
-    assert run_cli(args + ["--output", str(f2)]) == 0
-    assert _sha(f1) == _sha(f2)
+    assert capsys.readouterr().out == "".join(f"{name} {REGISTRY[name].dims}\n" for name in sorted(REGISTRY))
 
 
 def _reference_trace_line(record):
@@ -121,34 +37,162 @@ def _reference_trace_line(record):
     return '{"iter": %d, "positions": [%s], "best": %s}' % (record.iteration, rows, best)
 
 
-def _trace_args(iters, *extra, algorithm="bat", pop=40):
-    return ["trace", "--algorithm", algorithm, "--function", "dejong", "--dim", "16",
-            "--pop", str(pop), "--iters", str(iters), "--seed", "3", *extra]
+# README's output contract, rendered from the library's own trials: each
+# algorithm's least --pop, a valid value of each override flag, and the
+# canonical name of each name the registry takes.
+_LEAST_POP = {"bat": 1, "pso": 2, "ga": 2}
+_OVERRIDES = {"alpha": 0.5, "gamma": 0.3, "fmin": 0.5, "fmax": 2.0, "c1": 1.5, "c2": 3.0, "inertia": -0.5,
+              "pm": 0.2, "pc": 0.6}
+_CANONICAL = {**{name: name for name in REGISTRY}, **REGISTRY_ALIASES}
+_COLUMNS = {
+    "run": "function,dim,algorithm,trial,seed,evaluations_used,success,best_value,iterations",
+    "compare": "function,dim,algorithm,trials,mean_evals,std_evals,success_rate,master_seed,tool_version",
+}
 
 
-def test_trace_bytes_at_workload_size(tmp_path, capsys):
-    # The bat moves few rows per sweep; PSO and GA move nearly all of them,
-    # and the GA's odd population has its extra child.
-    for algorithm, pop in (("bat", 40), ("pso", 41), ("ga", 41)):
+def _cell(value, jsonl):
+    """A real at 17 significant digits, a boolean in lower case, and an
+    absent value, or in JSONL a non-finite real, as an empty CSV cell or
+    JSONL null."""
+    if value is None or (jsonl and isinstance(value, float) and not math.isfinite(value)):
+        return "null" if jsonl else ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return json.dumps(value) if jsonl else str(value)
+
+
+def _rendering(subcommand, flags):
+    """(stdout, {file name: text}) that the contract gives the command."""
+    numbers = {"--dim": None, "--pop": 40, "--seed": 0, "--iters": None,
+               "--trials": 100, "--max-evals": 10_000, "--workers": 1}  # README's defaults
+    numbers.update((flag, int(value)) for flag, value in flags.items() if flag in numbers)
+    dim, pop, seed, iters, trials, max_evals, workers = numbers.values()
+    tolerance, fmt = float(flags.get("--tolerance", 1e-5)), flags.get("--format", "csv")
+    if subcommand == "trace":  # which takes no flag for these
+        trials, tolerance, max_evals, workers, fmt = 1, None, pop * (iters + 1), 1, "jsonl"
+    compare = subcommand == "compare"
+    algorithms = flags.get("--algorithms", "bat,pso,ga").split(",") if compare else [flags["--algorithm"]]
+    functions = flags["--functions"].split(",") if compare else [flags["--function"]]
+    overrides = {flag[2:]: float(value) for flag, value in flags.items() if flag[2:] in _OVERRIDES}
+    params = {}
+    for a in algorithms:
+        fields = ALGORITHMS[a].flags
+        params[a] = ALGORITHMS[a].params(n=pop, **{fields[f]: v for f, v in overrides.items() if f in fields})
+    config = json.dumps({
+        "subcommand": subcommand, "algorithms": algorithms, "functions": functions, "dim": dim,
+        "trials": trials, "tolerance": tolerance, "max_evals": max_evals, "population": pop,
+        "overrides": overrides, "master_seed": seed, "output_format": fmt, "iters": iters, "workers": workers,
+        "rng": "numpy.random.PCG64", "tool_version": __version__,
+        "statistics": "mean/std over successful trials only; success_rate over all trials",
+    }, sort_keys=True)
+    if subcommand == "trace":  # the seed is the trial's own, not a derived one
         records = []
-        params = dataclasses.replace(default_params(algorithm), n=pop)
-        run_trial(algorithm, benchmark_spec("dejong", 16).objective, None, pop * 51, 3,
-                  params=params, recorder=records.append)
-        expected = [_reference_trace_line(r) + "\n" for r in records]
-        assert len(records) == 50
+        run_trial(algorithms[0], benchmark_spec(functions[0], dim).objective, None, max_evals, seed,
+                  params[algorithms[0]], records.append)
+        text = "".join(_reference_trace_line(r) + "\n" for r in records)
+    else:
+        rows = []  # by function, then by algorithm
+        for function in functions:
+            by_algorithm = experiment_trials(algorithms, benchmark_spec(function, dim).objective, tolerance,
+                                             max_evals, trials, seed, params_by_algorithm=params)
+            for a in algorithms:
+                head = (_CANONICAL[function], dim or 2, a)
+                if subcommand == "run":
+                    rows += [(*head, k, r.seed, r.evaluations_used, r.success, r.best_value, r.iterations)
+                             for k, r in enumerate(by_algorithm[a])]
+                else:
+                    s = summarize(by_algorithm[a])
+                    rows.append((*head, trials, s.mean_evals, s.std_evals, s.success_rate, seed, __version__))
+        keys = _COLUMNS[subcommand].split(",")
+        if fmt == "jsonl":
+            lines = ["{" + ", ".join(f'"{k}": {_cell(v, True)}' for k, v in zip(keys, row)) + "}"
+                     for row in rows]
+        else:
+            lines = [f"# batbench {__version__}", f"# config {config}", ",".join(keys)]
+            lines += [",".join(_cell(v, False) for v in row) for row in rows]
+        text = "".join(line + "\n" for line in lines)
+    if "--output" not in flags:
+        return text, {}
+    sidecar = {flags["--output"] + ".config.json": config + "\n"} if fmt == "jsonl" else {}
+    return "", {flags["--output"]: text, **sidecar}
 
-        def assert_lines(text):
-            lines = text.splitlines(keepends=True)
-            assert len(lines) == len(expected)
-            differing = [k for k, (line, want) in enumerate(zip(lines, expected), 1) if line != want]
-            assert not differing, f"{algorithm}: lines {differing[:5]} differ"
 
-        out = tmp_path / f"{algorithm}.jsonl"
-        assert run_cli(_trace_args(50, "--output", str(out), algorithm=algorithm, pop=pop)) == 0
-        assert_lines(out.read_text())
-        capsys.readouterr()
-        assert run_cli(_trace_args(50, algorithm=algorithm, pop=pop)) == 0
-        assert_lines(capsys.readouterr().out)
+@st.composite
+def _commands(draw):
+    """A run, compare or trace command line that the CLI accepts."""
+    subcommand = draw(st.sampled_from(["run", "compare", "trace"]))
+    a_function, an_algorithm = st.sampled_from(sorted(_CANONICAL)), st.sampled_from(sorted(_LEAST_POP))
+    if subcommand == "compare":
+        algorithms = draw(st.none() | st.lists(an_algorithm, min_size=1, max_size=3, unique=True))
+        functions = draw(st.lists(a_function, min_size=1, max_size=3, unique_by=_CANONICAL.get))
+        flags = {"--algorithms": algorithms and ",".join(algorithms), "--functions": ",".join(functions)}
+    else:
+        algorithms, functions = [draw(an_algorithm)], [draw(a_function)]
+        flags = {"--algorithm": algorithms[0], "--function": functions[0]}
+    # run and compare always have a tolerance, so only a d with a known minimum.
+    entries = [REGISTRY[_CANONICAL[f]] for f in functions]
+    flags["--dim"] = draw(st.sampled_from([
+        d for d in (None, 1, 2, 3, 4, 5, 6, 16)
+        if all(e.takes(d or 2) and (subcommand == "trace" or e.minimum(d or 2) is not None) for e in entries)
+    ]))
+    least = max(_LEAST_POP[a] for a in algorithms or _LEAST_POP)
+    flags["--pop"] = pop = draw(st.none() | st.integers(least, 12))
+    if subcommand == "trace":
+        flags["--iters"] = draw(st.integers(1, 6))
+    else:
+        flags["--trials"] = draw(st.integers(1, 3))
+        # Below the population, at the end of a sweep or inside one.
+        flags["--max-evals"] = draw(st.integers(1, 7 * (pop or 40)))
+        flags["--tolerance"] = draw(st.none() | st.sampled_from([0.0, 1e-5, 0.5, 100.0]))
+        flags["--workers"] = draw(st.sampled_from([None, 1, 2]))
+        flags["--format"] = draw(st.sampled_from([None, "csv", "jsonl"]))
+    for flag in draw(st.lists(st.sampled_from(sorted(_OVERRIDES)), unique=True)):
+        flags[f"--{flag}"] = _OVERRIDES[flag]
+    flags["--seed"] = draw(st.none() | st.integers(0, 2**64 - 1))
+    flags["--output"] = draw(st.sampled_from([None, "out"]))
+    return " ".join([subcommand, *(f"{flag} {value}" for flag, value in flags.items() if value is not None)])
+
+
+_WORKLOAD_TRACE = "trace --function dejong --dim 16 --iters 50 --seed 3 --algorithm "
+
+
+@settings(max_examples=60, deadline=None)
+@given(_commands())
+@example("trace --algorithm bat --function rosenbrock_paper --dim 2 --pop 25 --iters 20 --seed 1 "
+         "--output paths.jsonl")
+# The bat moves few rows per sweep; PSO and GA move nearly all of them, and
+# the GA's odd population has its extra child.
+@example(_WORKLOAD_TRACE + "bat --pop 40 --output bat.jsonl")
+@example(_WORKLOAD_TRACE + "bat --pop 40")
+@example(_WORKLOAD_TRACE + "pso --pop 41 --output pso.jsonl")
+@example(_WORKLOAD_TRACE + "pso --pop 41")
+@example(_WORKLOAD_TRACE + "ga --pop 41 --output ga.jsonl")
+@example(_WORKLOAD_TRACE + "ga --pop 41")
+# A budget below the population: the best value is inf.
+@example("run --algorithm ga --function dejong --dim 2 --trials 1 --max-evals 10 --format jsonl")
+@example("run --algorithm ga --function dejong --dim 2 --trials 1 --max-evals 10")
+@example("compare --functions eggcrate,sphere,ackley --algorithms ga,bat,pso --dim 2 --trials 3 "
+         "--tolerance 0.5 --max-evals 300 --seed 7 --output cmp.csv")
+def test_cli_bytes_equal_the_readme_contract(command):
+    # stdout, the --output file and its sidecar, on two identical calls,
+    # equal README's output contract rendered from the library's trials.
+    argv = command.split()
+    expected = _rendering(argv[0], dict(zip(argv[1::2], argv[2::2])))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [os.path.join(tmp, a) if flag == "--output" else a for flag, a in zip([None, *argv], argv)]
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert run_cli(argv) == 0, err.getvalue()
+            files = {path.name: path.read_bytes().decode() for path in Path(tmp).iterdir()}
+            assert (err.getvalue(), out.getvalue(), files) == ("", *expected)
+
+
+def _trace_args(iters, *extra):
+    return ["trace", "--algorithm", "bat", "--function", "dejong", "--dim", "16",
+            "--pop", "40", "--iters", str(iters), "--seed", "3", *extra]
 
 
 def test_trace_writer_formats_moved_rows_by_their_bits():
@@ -185,46 +229,17 @@ def test_trace_writer_formats_moved_rows_by_their_bits():
     assert lines[4].endswith('"best": null}') and lines[7].endswith('"best": null}')
 
 
-def test_trace_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "trace.jsonl"
-    calls, existed = [], []
-
-    def failing_spec(name, dim):
-        spec = benchmark_spec(name, dim)
-        fn = spec.objective.fn
-
-        def flaky(x):
-            calls.append(None)
-            if len(calls) > 40 * 4 + 7:  # initialisation, three sweeps, 7 calls of the fourth
-                existed.append(out.exists())
-                raise RuntimeError("objective failed")
-            return fn(x)
-
-        return dataclasses.replace(spec, objective=dataclasses.replace(spec.objective, fn=flaky))
-
-    monkeypatch.setattr(cli, "benchmark_spec", failing_spec)
-    assert run_cli(_trace_args(10, "--output", str(out))) == 1
-    assert "objective failed" in capsys.readouterr().err
-    assert existed == [True]  # the file was open when the trial failed
-    assert not out.exists()
-    assert not (tmp_path / "trace.jsonl.config.json").exists()
-    # On stdout the three completed sweeps' lines stay, each one whole.
-    calls.clear()
-    assert run_cli(_trace_args(10)) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert [json.loads(line)["iter"] for line in lines] == [1, 2, 3]
-
-
-def _spec_raising_in_sweep(calls, sweep, error):
-    """benchmark_spec whose objective raises `error` on the 8th call of the
-    given sweep of 40 bats, sweep 0 being the initialisation (one call per
-    point: the wrapper scores no rows)."""
+def _spec_raising_in_sweep(calls, sweep, error, probe=lambda: None):
+    """benchmark_spec whose objective appends probe() to `calls` on every
+    call and raises `error` on the 8th call of the given sweep of 40 bats,
+    sweep 0 being the initialisation (one call per point: the wrapper scores
+    no rows)."""
     def spec_of(name, dim):
         spec = benchmark_spec(name, dim)
         fn = spec.objective.fn
 
         def flaky(x):
-            calls.append(None)
+            calls.append(probe())
             if len(calls) > 40 * sweep + 7:
                 raise error
             return fn(x)
@@ -232,6 +247,22 @@ def _spec_raising_in_sweep(calls, sweep, error):
         return dataclasses.replace(spec, objective=dataclasses.replace(spec.objective, fn=flaky))
 
     return spec_of
+
+
+def test_trace_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "trace.jsonl"
+    calls = []
+    failing = _spec_raising_in_sweep(calls, 4, RuntimeError("objective failed"), out.exists)
+    monkeypatch.setattr(cli, "benchmark_spec", failing)
+    assert run_cli(_trace_args(10, "--output", str(out))) == 1
+    assert "objective failed" in capsys.readouterr().err
+    assert calls[-1] is True  # the file was open when the trial failed
+    assert list(tmp_path.iterdir()) == []  # and is gone, with no sidecar
+    # On stdout the three completed sweeps' lines stay, each one whole.
+    calls.clear()
+    assert run_cli(_trace_args(10)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["iter"] for line in lines] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("subcommand", ["run", "trace"])
@@ -293,38 +324,63 @@ def test_an_output_that_is_not_a_regular_file_is_never_deleted_and_gets_no_sidec
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo"]
 
 
+def _run_dejong(algorithm, *flags):
+    return ["run", "--algorithm", algorithm, "--function", "dejong", *flags]
+
+
 def test_invalid_configuration_exits_2_before_any_trial(tmp_path, monkeypatch, capsys):
-    calls = []
+    # Each refused command: its exit code (2 for a bad setting, 3 for an
+    # unknown name) and message, no objective call, and no output file or
+    # sidecar.  argparse's own refusal prints its usage, so only its code
+    # is checked.
+    calls, refusal = [], {2: "invalid configuration", 3: "unknown name"}
     monkeypatch.setattr(cli, "benchmark_spec", _spec_raising_in_sweep(calls, 0, AssertionError))
-    out = tmp_path / "never.csv"
-    for argv, message in [
-        (["run", "--algorithm", "bat", "--function", "dejong", "--max-evals", "0"],
-         "max_evaluations must be positive"),
-        (["run", "--algorithm", "pso", "--function", "dejong", "--tolerance", "inf"],
-         "tolerance must be finite"),
-        (["run", "--algorithm", "pso", "--function", "dejong", "--tolerance", "-1"],
-         "tolerance must be >= 0"),
-        (["compare", "--functions", "dejong", "--algorithms", "pso,pso"],
+    jsonl = ["--trials", "1", "--max-evals", "100", "--format", "jsonl"]
+    for argv, code, message in [
+        (_run_dejong("bat", "--max-evals", "0"), 2, "max_evaluations must be positive"),
+        (_run_dejong("pso", "--tolerance", "inf"), 2, "tolerance must be finite"),
+        (_run_dejong("pso", "--tolerance", "-1"), 2, "tolerance must be >= 0"),
+        (["compare", "--functions", "dejong", "--algorithms", "pso,pso"], 2,
          "each algorithm and function may be named once"),
-        (["compare", "--functions", "dejong,ackley,dejong", "--algorithms", "bat"],
+        (["compare", "--functions", "dejong,ackley,dejong", "--algorithms", "bat"], 2,
          "each algorithm and function may be named once"),
-        (["compare", "--functions", "sphere,dejong_sphere", "--algorithms", "ga"],
+        (["compare", "--functions", "sphere,dejong_sphere", "--algorithms", "ga"], 2,
          "each algorithm and function may be named once"),
-        (["run", "--algorithm", "ga", "--function", "dejong", "--trials", "0"], "trials must be >= 1"),
-        (["run", "--algorithm", "bat", "--function", "dejong", "--workers", "0"], "workers must be >= 1"),
-        (["compare", "--functions", ",", "--algorithms", "bat"], "need at least one algorithm and one function"),
-        (["trace", "--algorithm", "bat", "--function", "dejong", "--iters", "0"], "--iters must be >= 1"),
+        (_run_dejong("ga", "--trials", "0"), 2, "trials must be >= 1"),
+        (_run_dejong("bat", "--workers", "0"), 2, "workers must be >= 1"),
+        (_run_dejong("bat", "--trials", "2", "--workers", "-3"), 2, "workers must be >= 1"),
+        (_run_dejong("bat", "--pop", "0", "--trials", "1"), 2, "population size must be >= 1"),
+        (_run_dejong("bat", "--alpha", "1.5"), 2, "alpha must lie in (0, 1)"),
+        (["run", "--algorithm", "bat", "--function", "eggcrate", "--dim", "3"], 2,
+         "eggcrate is only defined for d=2, got d=3"),
+        (["compare", "--functions", ",", "--algorithms", "bat"], 2,
+         "need at least one algorithm and one function"),
+        (["trace", "--algorithm", "bat", "--function", "dejong", "--iters", "0"], 2, "--iters must be >= 1"),
         # trace checks the function before the algorithm, as run does.
-        (["trace", "--algorithm", "annealer", "--function", "eggcrate", "--dim", "3", "--iters", "2"],
+        (["trace", "--algorithm", "annealer", "--function", "eggcrate", "--dim", "3", "--iters", "2"], 2,
          "eggcrate is only defined for d=2, got d=3"),
         # The second function's tolerance is refused before the first one's trials run.
-        (["compare", "--functions", "dejong,michalewicz", "--dim", "16", "--tolerance", "0.1"],
+        (["compare", "--functions", "dejong,michalewicz", "--dim", "16", "--tolerance", "0.1"], 2,
          "michalewicz has no known minimum; tolerance-based success is undefined"),
+        # Non-finite values: no campaign runs and no non-strict JSON is written.
+        (_run_dejong("pso", *jsonl, "--c1", "nan"), 2, "learning parameters must be non-negative and finite"),
+        (_run_dejong("pso", *jsonl, "--c1", "inf"), 2, "learning parameters must be non-negative and finite"),
+        (_run_dejong("pso", *jsonl, "--inertia", "nan"), 2, "inertia must be finite"),
+        (_run_dejong("bat", *jsonl, "--gamma", "nan"), 2, "gamma must be positive and finite"),
+        (_run_dejong("bat", *jsonl, "--gamma", "inf"), 2, "gamma must be positive and finite"),
+        (_run_dejong("bat", *jsonl, "--fmax", "inf"), 2, "need 0 <= f_min <= f_max < inf"),
+        (_run_dejong("bat", *jsonl, "--tolerance", "nan"), 2, "tolerance must be finite"),
+        (_run_dejong("ga", *jsonl, "--tolerance", "inf"), 2, "tolerance must be finite"),
+        (["run", "--algorithm", "bat", "--function", "nosuch"], 3, "'nosuch'"),
+        (_run_dejong("annealer"), 3, "'annealer'"),
+        (["compare", "--functions", "dejong", "--algorithms", "bat,annealer"], 3, "'annealer'"),
+        (["run", "--no-such-flag"], 2, None),
     ]:
-        assert run_cli(argv + ["--output", str(out)]) == 2
-        assert capsys.readouterr().err == f"batbench: invalid configuration: {message}\n"
+        assert run_cli(argv + ["--output", str(tmp_path / "never.jsonl")]) == code, argv
+        err = capsys.readouterr().err
+        assert message is None or err == f"batbench: {refusal[code]}: {message}\n"
         assert calls == []
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_trace_memory_does_not_grow_with_iters(tmp_path):
@@ -380,100 +436,3 @@ def test_unopenable_output_exit_1_no_file(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("batbench: error:")
     assert not out.exists()
     assert not (tmp_path / "missing" / "x.jsonl.config.json").exists()
-
-
-def test_run_writes_per_trial_rows(tmp_path):
-    out = tmp_path / "run.csv"
-    code = run_cli([
-        "run", "--algorithm", "bat", "--function", "eggcrate",
-        "--trials", "5", "--max-evals", "400", "--tolerance", "0.5",
-        "--seed", "11", "--output", str(out),
-    ])
-    assert code == 0
-    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert data[0].startswith("function,dim,algorithm,trial,seed,")
-    assert len(data) == 6
-    assert all(row.split(",")[6] in ("true", "false") for row in data[1:])
-
-
-def test_run_jsonl_with_sidecar(tmp_path):
-    out = tmp_path / "run.jsonl"
-    code = run_cli([
-        "run", "--algorithm", "ga", "--function", "dejong", "--dim", "2",
-        "--trials", "3", "--max-evals", "300", "--format", "jsonl",
-        "--seed", "2", "--output", str(out),
-    ])
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 3
-    rec = json.loads(lines[0])
-    assert rec["algorithm"] == "ga" and rec["function"] == "dejong_sphere"
-    assert (tmp_path / "run.jsonl.config.json").exists()
-
-
-def test_unknown_function_exit_3_no_file(tmp_path):
-    out = tmp_path / "never.csv"
-    code = run_cli(["run", "--algorithm", "bat", "--function", "nosuch",
-                    "--output", str(out)])
-    assert code == 3
-    assert not out.exists()
-
-
-def test_unknown_algorithm_exit_3(tmp_path):
-    out = tmp_path / "never.csv"
-    assert run_cli(["run", "--algorithm", "annealer", "--function", "dejong",
-                    "--output", str(out)]) == 3
-    assert run_cli(["compare", "--functions", "dejong", "--algorithms", "bat,annealer",
-                    "--output", str(out)]) == 3
-    assert not out.exists()
-
-
-def test_invalid_flag_values_exit_2(tmp_path):
-    out = tmp_path / "never.csv"
-    # parameter invariant violation (alpha must be < 1)
-    assert run_cli(["run", "--algorithm", "bat", "--function", "dejong",
-                    "--alpha", "1.5", "--output", str(out)]) == 2
-    # unsupported dimension
-    assert run_cli(["run", "--algorithm", "bat", "--function", "eggcrate",
-                    "--dim", "3", "--output", str(out)]) == 2
-    # argparse-level garbage
-    assert run_cli(["run", "--no-such-flag"]) == 2
-    # no bat to divide the budget among
-    assert run_cli(["run", "--algorithm", "bat", "--function", "dejong", "--pop", "0",
-                    "--trials", "1", "--output", str(out)]) == 2
-    # no worker to run the trials
-    for workers in ("0", "-3"):
-        assert run_cli(["run", "--algorithm", "bat", "--function", "dejong", "--trials", "2",
-                        "--max-evals", "100", "--workers", workers, "--output", str(out)]) == 2
-    assert not out.exists()
-    # non-finite values: no campaign runs and no non-strict JSON is written
-    jsonl = tmp_path / "never.jsonl"
-    for algorithm, flag, value in [
-        ("pso", "--c1", "nan"), ("pso", "--inertia", "nan"), ("bat", "--gamma", "nan"),
-        ("bat", "--fmax", "inf"), ("bat", "--tolerance", "nan"),
-        ("pso", "--c1", "inf"), ("bat", "--gamma", "inf"), ("ga", "--tolerance", "inf"),
-    ]:
-        assert run_cli(["run", "--algorithm", algorithm, "--function", "dejong", "--trials", "1",
-                        "--max-evals", "100", flag, value, "--format", "jsonl",
-                        "--output", str(jsonl)]) == 2
-        assert not jsonl.exists()
-        assert not (tmp_path / "never.jsonl.config.json").exists()
-
-
-def test_stdout_when_no_output(capsys):
-    assert run_cli(["compare", "--functions", "dejong", "--dim", "2",
-                    "--algorithms", "bat", "--trials", "2", "--max-evals", "200"]) == 0
-    out = capsys.readouterr().out
-    assert "function,dim,algorithm" in out
-
-
-def test_jsonl_writes_non_finite_as_null(capsys):
-    # A budget below the population leaves best_value at inf.
-    args = ["run", "--algorithm", "ga", "--function", "dejong", "--dim", "2",
-            "--trials", "1", "--max-evals", "10"]
-    assert run_cli(args + ["--format", "jsonl"]) == 0
-    (line,) = capsys.readouterr().out.splitlines()
-    assert json.loads(line, parse_constant=_reject)["best_value"] is None
-    assert run_cli(args) == 0
-    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
-    assert rows[1].split(",")[7] == "inf"
