@@ -1,12 +1,12 @@
 """Echolocation-inspired swarm search.
 
-Each bat carries a position, velocity, frequency, loudness and pulse rate.
-Per iteration every bat proposes one candidate: a frequency-scaled global
-move, replaced (with probability 1 - pulse rate) by a random walk around
-the swarm best scaled by the average loudness.  Improving candidates are
-accepted with probability bounded by the bat's loudness; acceptance decays
-the loudness geometrically and raises the pulse rate toward its initial
-ceiling.
+Each bat carries a position, velocity, loudness and pulse rate, and draws
+a new frequency before every move.  Per iteration every bat proposes one
+candidate: a frequency-scaled global move, replaced (with probability
+1 - pulse rate) by a random walk around the swarm best scaled by the
+average loudness.  Improving candidates are accepted with probability
+bounded by the bat's loudness; acceptance decays the loudness
+geometrically and raises the pulse rate toward its initial ceiling.
 
 The swarm is stored as a struct of arrays, and a sweep computes every
 bat's move at once and scores the candidates as rows; only the acceptance
@@ -77,17 +77,16 @@ class BatState:
     """The state of one trial's swarm, as a struct of arrays: row i of every
     array is bat i.
 
-    ``acceptance_logs[i]`` lists the iterations at which bat i accepted.
+    ``acceptances[i]`` counts the moves bat i has accepted.
     """
 
     positions: np.ndarray  # (n, d)
     velocities: np.ndarray  # (n, d)
-    frequencies: np.ndarray  # (n,), and so on below
-    loudness: np.ndarray
+    loudness: np.ndarray  # (n,), and so on below
     initial_loudness: np.ndarray
     pulse_rates: np.ndarray
     initial_pulse_rates: np.ndarray
-    acceptance_logs: list[list[int]]
+    acceptances: np.ndarray
     best_position: Vector
     best_value: float
     rng: RandomStream
@@ -100,8 +99,9 @@ def init_bats(
 ) -> BatState:
     """Draw and evaluate the initial population (n evaluations).
 
-    Bat by bat: d position draws, then one draw u each for the frequency,
-    the loudness A0 = 1 + u and the pulse ceiling r0 = u.
+    Bat by bat: d position draws, then one draw u each for the frequency
+    (unused: each move draws its own), the loudness A0 = 1 + u and the
+    pulse ceiling r0 = u.
     """
     if budget.remaining < params.n:
         raise BudgetExceededError(
@@ -117,12 +117,11 @@ def init_bats(
     return BatState(
         positions,
         np.zeros((n, d)),
-        params.f_min + (params.f_max - params.f_min) * draws[:, d],
         loudness,
         loudness.copy(),
         pulse_rates,
         pulse_rates.copy(),
-        [[] for _ in range(n)],
+        np.zeros(n, dtype=int),
         positions[best].copy(),
         float(values[best]),
         rng,
@@ -136,14 +135,14 @@ def init_bats(
 
 def global_move(
     positions: np.ndarray, velocities: np.ndarray, best: Vector, beta, params: BatParams, bounds: Bounds
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """f = f_min + (f_max - f_min) beta, v += (x - x*) f, x + v clamped.
 
-    Returns (velocities, moved positions, frequencies).
+    Returns (velocities, moved positions).
     """
     frequencies = params.f_min + (params.f_max - params.f_min) * beta
     velocities = velocities + (positions - best) * np.expand_dims(frequencies, -1)
-    return velocities, clamp_to_bounds(positions + velocities, bounds), frequencies
+    return velocities, clamp_to_bounds(positions + velocities, bounds)
 
 
 def local_walk(base: Vector, draws: np.ndarray, avg_loudness: float, bounds: Bounds) -> np.ndarray:
@@ -167,9 +166,8 @@ def accept(state: BatState, i: int, candidate: Vector, value: float, params: Bat
     acceptance is bat_step's.
     """
     state.positions[i] = candidate
-    log = state.acceptance_logs[i]
-    log.append(state.iteration)
-    state.loudness[i] = state.initial_loudness[i] * params.alpha ** len(log)
+    state.acceptances[i] += 1
+    state.loudness[i] = state.initial_loudness[i] * params.alpha ** int(state.acceptances[i])
     state.pulse_rates[i] = state.initial_pulse_rates[i] * (1.0 - math.exp(-params.gamma * state.iteration))
     state.best_position = candidate.copy()
     state.best_value = value
@@ -215,9 +213,9 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
     # A bat's loudness changes only at its own acceptance, after its test.
     loudness = state.loudness.tolist()
 
-    def moves(first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Velocities, candidates and frequencies of bats first..n-1."""
-        velocities, candidates, frequencies = global_move(
+    def moves(first: int) -> tuple[np.ndarray, np.ndarray]:
+        """Velocities and candidates of bats first..n-1."""
+        velocities, candidates = global_move(
             state.positions[first:], state.velocities[first:], state.best_position,
             betas[first:], params, bounds,
         )
@@ -225,19 +223,18 @@ def bat_step(state: BatState, params: BatParams, obj: Objective) -> BatState:
         candidates[walkers[later] - first] = local_walk(
             state.best_position, walk_draws[later], avg, bounds
         )
-        return velocities, candidates, frequencies
+        return velocities, candidates
 
-    velocities, candidates, frequencies = moves(0)
+    velocities, candidates = moves(0)
     evaluated = min(n, state.budget.remaining)
     values = counted_values(obj, candidates, state.budget)
     for i in range(evaluated):
         value = next(values)
         if accept_draws[i] < loudness[i] and value < state.best_value:
             accept(state, i, candidates[i], value, params)
-            velocities[i + 1 :], candidates[i + 1 :], _ = moves(i + 1)
+            velocities[i + 1 :], candidates[i + 1 :] = moves(i + 1)
             values = counted_values(obj, candidates[i + 1 :], state.budget)
     state.velocities[:] = velocities
-    state.frequencies[:] = frequencies
     rng.rewind(block.size - used)
     state.iteration += 1
     return state

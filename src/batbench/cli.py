@@ -253,10 +253,12 @@ def _trace_writer(out: TextIO, n: int, d: int) -> Callable[[TrajectoryRecord], N
 def _cmd_trace(args: argparse.Namespace) -> int:
     if args.iters < 1:
         raise ValueError("--iters must be >= 1")
-    # The budget of exactly --iters sweeps after initialisation.
-    args.max_evals = args.pop * (args.iters + 1)
+    # The budget of exactly --iters sweeps after initialisation; a --pop
+    # below 1 is left for the params to refuse, as run's is.
+    args.max_evals = max(args.pop, 1) * (args.iters + 1)
     config, [objective], by_algorithm = _checked(args, (args.algorithm,), (args.function,))
     params = by_algorithm[args.algorithm]
+    RandomStream(args.seed)  # refuses a trial seed outside [0, 2**64) before the output opens
 
     with _output(args, config) as out, _trials_running():
         write = _trace_writer(out, params.n, objective.dim)

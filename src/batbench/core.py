@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -132,7 +133,10 @@ class RandomStream:
     algorithm = "numpy.random.PCG64"
 
     def __init__(self, seed: int):
-        self._gen = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+        seed = operator.index(seed)  # TypeError for a float, never truncated
+        if not 0 <= seed < 2**64:  # refused, never folded onto a seed in range
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        self._gen = np.random.Generator(np.random.PCG64(seed))
 
     def uniform(self) -> float:
         """One draw from [0, 1)."""

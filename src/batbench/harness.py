@@ -11,8 +11,7 @@ rate is reported separately over all trials.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -73,12 +72,7 @@ ALGORITHMS = {
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Outcome of one seeded run of one algorithm on one objective.
-
-    ``wall_time`` is excluded from equality so that two runs with the same
-    seed compare equal field-for-field, as the determinism contract
-    requires.
-    """
+    """Outcome of one seeded run of one algorithm on one objective."""
 
     algorithm: str
     function: str
@@ -89,7 +83,6 @@ class TrialResult:
     best_value: float
     iterations: int
     best_position: Optional[tuple[float, ...]] = None
-    wall_time: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -169,12 +162,13 @@ def run_trial(
     The recorder receives one TrajectoryRecord per complete sweep, with a
     copy of its positions.  Before any evaluation, in this order, an
     unknown algorithm, params that trial_params refuses, a budget below one
-    evaluation and a tolerance that check_stop_at refuses raise.
+    evaluation, a tolerance that check_stop_at refuses and a seed that
+    RandomStream refuses raise.
     """
     params = trial_params(algorithm, params)
     budget = EvalBudget(max_evals)
     check_stop_at(tolerance, objective)
-    start = time.perf_counter()
+    rng = RandomStream(seed)
 
     def tolerance_met(value: float) -> bool:
         return tolerance is not None and value - objective.known_min <= tolerance
@@ -182,7 +176,7 @@ def run_trial(
     n = params.n
     best_value, best_position, iterations = math.inf, None, 0
     if budget.remaining >= n:
-        trial = ALGORITHMS[algorithm].sweeps(params, objective, budget, RandomStream(seed))
+        trial = ALGORITHMS[algorithm].sweeps(params, objective, budget, rng)
         best_value, best_position, _ = next(trial)
         while not tolerance_met(best_value) and budget.remaining:
             used = budget.used
@@ -202,7 +196,6 @@ def run_trial(
         best_value=best_value,
         iterations=iterations,
         best_position=None if best_position is None else tuple(float(v) for v in best_position),
-        wall_time=time.perf_counter() - start,
     )
 
 

@@ -134,12 +134,11 @@ def test_criterion_2_schedule_closed_forms():
     state = BatState(
         positions=np.array([[5.0]]),
         velocities=np.zeros((1, 1)),
-        frequencies=np.zeros(1),
         loudness=np.array([a0]),
         initial_loudness=np.array([a0]),
         pulse_rates=np.array([r0]),
         initial_pulse_rates=np.array([r0]),
-        acceptance_logs=[[]],
+        acceptances=np.zeros(1, dtype=int),
         best_position=np.array([5.0]),
         best_value=1e9,
         rng=RandomStream(0),
@@ -151,7 +150,7 @@ def test_criterion_2_schedule_closed_forms():
     for k in range(1, 120):
         state.iteration = k
         accept(state, 0, np.array([float(k)]), value, params)
-        assert len(state.acceptance_logs[0]) == k
+        assert state.acceptances[0] == k
         value /= 2.0
         assert state.loudness[0] == a0 * 0.9**k  # exact closed form
         expected_pulse = r0 * (1.0 - math.exp(-0.9 * state.iteration))

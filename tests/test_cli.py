@@ -328,6 +328,10 @@ def _run_dejong(algorithm, *flags):
     return ["run", "--algorithm", algorithm, "--function", "dejong", *flags]
 
 
+def _trace_dejong(*flags):
+    return ["trace", "--algorithm", "bat", "--function", "dejong", "--iters", "2", *flags]
+
+
 def test_invalid_configuration_exits_2_before_any_trial(tmp_path, monkeypatch, capsys):
     # Each refused command: its exit code (2 for a bad setting, 3 for an
     # unknown name) and message, no objective call, and no output file or
@@ -356,6 +360,13 @@ def test_invalid_configuration_exits_2_before_any_trial(tmp_path, monkeypatch, c
         (["compare", "--functions", ",", "--algorithms", "bat"], 2,
          "need at least one algorithm and one function"),
         (["trace", "--algorithm", "bat", "--function", "dejong", "--iters", "0"], 2, "--iters must be >= 1"),
+        # trace's --seed is the trial seed itself: one outside [0, 2**64) is
+        # refused, not folded onto a seed in range.
+        (_trace_dejong("--seed", "-1"), 2, "seed must lie in [0, 2**64), got -1"),
+        (_trace_dejong("--seed", str(2**64 + 1)), 2, f"seed must lie in [0, 2**64), got {2**64 + 1}"),
+        # trace derives its budget from --pop, yet the population is what it reports.
+        (_trace_dejong("--pop", "0"), 2, "population size must be >= 1"),
+        (_trace_dejong("--pop", "-2"), 2, "population size must be >= 1"),
         # trace checks the function before the algorithm, as run does.
         (["trace", "--algorithm", "annealer", "--function", "eggcrate", "--dim", "3", "--iters", "2"], 2,
          "eggcrate is only defined for d=2, got d=3"),

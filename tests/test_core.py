@@ -23,6 +23,7 @@ from batbench.core import (
     scores_rows,
 )
 from batbench.benchmarks import benchmark_spec
+from batbench.harness import run_trial
 from oracles import CallCounter
 
 
@@ -157,6 +158,21 @@ def test_random_stream_ranges():
     rng = RandomStream(5)
     u = rng.uniform_vector(10_000)
     assert ((u >= 0.0) & (u < 1.0)).all()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 1.9])
+def test_a_seed_outside_64_bits_is_refused_before_any_evaluation(seed):
+    # Folded to 64 bits or truncated, these seeds would draw the streams of
+    # 2**64 - 1, 0, 1 and 1.
+    error = TypeError if isinstance(seed, float) else ValueError
+    with pytest.raises(error):
+        RandomStream(seed)
+    counter = CallCounter(_sphere_objective().fn)
+    with pytest.raises(error):
+        run_trial("bat", dataclasses.replace(_sphere_objective(), fn=counter), None, 400, seed)
+    assert counter.calls == 0
+    edge = RandomStream(2**64 - 1).uniform_vector(4)
+    assert edge.tolist() == np.random.Generator(np.random.PCG64(2**64 - 1)).random(4).tolist()
 
 
 def test_derived_seeds_distinct_for_a_million_trials():
