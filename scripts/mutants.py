@@ -46,6 +46,8 @@ CLI_CONTRACT = "tests/test_cli.py::test_cli_bytes_equal_the_readme_contract"
 REFUSALS = "tests/test_cli.py::test_invalid_configuration_exits_2_before_any_trial"
 FORMULAS = "tests/test_benchmarks.py::test_formulas_equal_their_frozen_point_forms_on_fixed_points"
 SEED_RANGE = "tests/test_core.py::test_a_seed_outside_64_bits_is_refused_before_any_evaluation"
+BLAS_DEFAULT = "tests/test_cli.py::test_only_the_program_sets_one_blas_thread_and_before_numpy_loads"
+CHILD_BYTES = "tests/test_cli.py::test_a_cli_child_writes_the_bytes_and_exit_code_of_run_cli"
 
 
 class Mutant(NamedTuple):
@@ -241,6 +243,18 @@ MUTANTS = [
         "args.max_evals = max(args.pop, 1) * (args.iters + 1)",
         "args.max_evals = args.pop * (args.iters + 1)",
         (REFUSALS,),
+    ),
+    Mutant(
+        "cli-program-sets-no-blas-default", CLI,
+        '    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n',
+        "    pass\n",
+        (f"{BLAS_DEFAULT}[module-None]",),
+    ),
+    Mutant(
+        "cli-stdout-left-unflushed-before-exit", CLI,
+        "for stream in (sys.stdout, sys.stderr):",
+        "for stream in (sys.stderr,):",
+        (f"{CHILD_BYTES}[exit-0]",),
     ),
     Mutant(
         "cli-trace-seed-checked-inside-the-trial", CLI,

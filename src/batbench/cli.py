@@ -15,6 +15,14 @@ function/algorithm.
 
 from __future__ import annotations
 
+import os
+
+if __name__ == "__main__":
+    # batbench makes no BLAS call, yet importing numpy starts OpenBLAS's thread
+    # pool, which a CLI child pays for at start-up and exit.  So the program, and
+    # never a library caller, runs one BLAS thread unless the user set a number.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import contextlib
 import csv
@@ -339,7 +347,16 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    """Run the CLI and exit with its code, skipping the interpreter's teardown
+    once stdout and stderr are flushed; if a flush fails, sys.exit reports it."""
+    code = run_cli()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when its descriptor was closed at start-up
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

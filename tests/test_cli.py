@@ -427,11 +427,93 @@ def test_a_serial_run_and_a_trace_load_neither_the_thread_pool_nor_statistics(tm
         "                '--output', out + '/compare.csv']) == 0\n"
         "print(loaded())\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    child = subprocess.run([sys.executable, "-c", script], env=_fresh_env(), capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines() == ["[]", "['concurrent.futures', 'statistics']"]
+
+
+def _fresh_env(**preset):
+    """A fresh interpreter's environment: this checkout's batbench first on
+    the path, the given variables, and no OPENBLAS_NUM_THREADS or
+    PYTHONUNBUFFERED otherwise.  PYTHONUNBUFFERED=1 would flush each write
+    itself and so hide an output the program failed to flush."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    env.update((k, v) for k, v in preset.items() if v is not None)
+    return env
+
+
+def test_importing_batbench_loads_no_numpy_and_resolves_every_public_name():
+    script = (
+        "import sys\n"
+        "import batbench\n"
+        "assert 'numpy' not in sys.modules\n"
+        "public = {name: getattr(batbench, name) for name in batbench.__all__}\n"
+        "star = {}\n"
+        "exec('from batbench import *', star)\n"
+        "assert {name: star[name] for name in public} == public\n"
+        "from batbench import cli, harness\n"
+        "assert batbench.run_trial is harness.run_trial and batbench.ALGORITHMS is harness.ALGORITHMS\n"
+        "print(sorted(public))\n"
+    )
+    child = subprocess.run([sys.executable, "-c", script], env=_fresh_env(), capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == str([
+        "ALGORITHMS", "BatParams", "BatState", "BenchmarkSpec", "Bounds", "BudgetExceededError", "EvalBudget",
+        "ExperimentSummary", "GaParams", "Objective", "PsoParams", "RandomStream", "TrajectoryRecord",
+        "TrialResult", "__version__", "benchmark_spec", "clamp_to_bounds", "counted_evaluate", "derive_seed",
+        "experiment_trials", "registry_names", "run_trial", "summarize",
+    ]) + "\n"
+
+
+# Reports OPENBLAS_NUM_THREADS straight to the stderr descriptor as numpy
+# starts to load (the finder then leaves the import to the usual finders).
+_NUMPY_WATCH = (
+    "import os, sys\n"
+    "def report(when):\n"
+    "    os.write(2, f'{when} {os.environ.get(\"OPENBLAS_NUM_THREADS\")}\\n'.encode())\n"
+    "class Watch:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy':\n"
+    "            report('numpy sees')\n"
+    "sys.meta_path.insert(0, Watch())\n"
+    "sys.argv[1:] = ['list-functions']\n"
+)
+
+
+@pytest.mark.parametrize("preset", [None, "4"])
+@pytest.mark.parametrize("entry, program", [
+    pytest.param("import runpy; runpy.run_module('batbench.cli', run_name='__main__', alter_sys=True)", True,
+                 id="module"),
+    pytest.param("import batbench; batbench._main()", True, id="script"),
+    pytest.param("import batbench.cli; code = batbench.cli.run_cli(sys.argv[1:]); report('then'); sys.exit(code)",
+                 False, id="run_cli"),
+])
+def test_only_the_program_sets_one_blas_thread_and_before_numpy_loads(capsys, entry, program, preset):
+    # `python -m batbench.cli` is runpy's run_module under the name __main__.
+    # A value the user set wins; a library caller leaves the variable as it is.
+    assert run_cli(["list-functions"]) == 0
+    listing = capsys.readouterr().out
+    child = subprocess.run([sys.executable, "-c", _NUMPY_WATCH + entry],
+                           env=_fresh_env(OPENBLAS_NUM_THREADS=preset), capture_output=True, text=True)
+    assert (child.returncode, child.stdout) == (0, listing)
+    seen = (preset or "1") if program else preset
+    assert child.stderr == f"numpy sees {seen}\n" + ("" if program else f"then {seen}\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (_run_dejong("pso", "--dim", "2", "--trials", "2", "--max-evals", "100"), 0),
+    (_run_dejong("bat", "--max-evals", "0"), 2),
+    (["run", "--algorithm", "bat", "--function", "nosuch"], 3),
+], ids=["exit-0", "exit-2", "exit-3"])
+def test_a_cli_child_writes_the_bytes_and_exit_code_of_run_cli(capsys, argv, code):
+    # The child's stdout is a pipe, so it is block-buffered, and the program
+    # ends with os._exit: whatever main did not flush would be lost.
+    assert run_cli(argv) == code
+    expected = capsys.readouterr()
+    child = subprocess.run([sys.executable, "-m", "batbench.cli", *argv], env=_fresh_env(), capture_output=True)
+    assert (child.returncode, child.stdout, child.stderr) == (code, expected.out.encode(), expected.err.encode())
 
 
 @pytest.mark.parametrize("argv", [
