@@ -111,6 +111,22 @@ def _cases() -> dict[str, list[str]]:
     ):
         cases[f"{name}-stdout"] = args
         cases[f"{name}-file"] = args + ["--output", out]
+    # The paper's evidence as README's Scripts section gives it: the figures'
+    # bat paths on Rosenbrock and the eggcrate, and Table 1's bat, PSO and GA
+    # comparison at d=16 on sphere and Ackley.
+    cases["trace-bat-rosenbrock-figure"] = [
+        "trace", "--algorithm", "bat", "--function", "rosenbrock_paper", "--dim", "2", "--pop", "25",
+        "--iters", "20", "--seed", "1", "--output", "rosenbrock_paths.jsonl",
+    ]
+    cases["trace-bat-eggcrate-figure"] = [
+        "trace", "--algorithm", "bat", "--function", "eggcrate", "--pop", "40", "--iters", "250",
+        "--seed", "1", "--output", "eggcrate_paths.jsonl",
+    ]
+    for name, function, tolerance in (("sphere", "dejong", "100.0"), ("ackley", "ackley", "17.0")):
+        cases[f"compare-{name}16-desk"] = [
+            "compare", "--functions", function, "--dim", "16", "--algorithms", "bat,pso,ga", "--trials", "30",
+            "--tolerance", tolerance, "--max-evals", "40000", "--seed", "0", "--output", f"{name}_d16.csv",
+        ]
     errors = {
         # exit 1: an output file that cannot be opened
         "err1-run": ["run", "--algorithm", "bat", "--function", "dejong", "--trials", "1",

@@ -48,6 +48,8 @@ FORMULAS = "tests/test_benchmarks.py::test_formulas_equal_their_frozen_point_for
 SEED_RANGE = "tests/test_core.py::test_a_seed_outside_64_bits_is_refused_before_any_evaluation"
 BLAS_DEFAULT = "tests/test_cli.py::test_only_the_program_sets_one_blas_thread_and_before_numpy_loads"
 CHILD_BYTES = "tests/test_cli.py::test_a_cli_child_writes_the_bytes_and_exit_code_of_run_cli"
+SHAPE_TABLE = "tests/test_harness.py::test_a_marked_function_of_the_wrong_shape_is_refused_before_any_charge"
+SEED_DERIVATION = "tests/test_harness.py::test_experiment_counts_and_seed_derivation"
 
 
 class Mutant(NamedTuple):
@@ -100,6 +102,13 @@ MUTANTS = [
         (SEED_RANGE,),
     ),
     Mutant("seed-truncated-to-an-integer", CORE, "operator.index(seed)", "int(seed)", (SEED_RANGE,)),
+    Mutant(
+        "master-seed-truncated-to-an-integer", CORE,
+        "{operator.index(master_seed)}:{label}:{operator.index(index)}",
+        "{int(master_seed)}:{label}:{int(index)}",
+        (SEED_DERIVATION,),
+    ),
+    Mutant("row-function-shape-unchecked", CORE, "    if np.shape(values) != (k,):\n", "    if False:\n", (SHAPE_TABLE,)),
     Mutant(
         "bat-frequency-as-interpolation", BAT,
         "frequencies = params.f_min + (params.f_max - params.f_min) * beta",

@@ -164,9 +164,10 @@ def derive_seed(master_seed: int, label: str, index: int) -> int:
     """Stable 64-bit seed for trial `index` of stream `label`.
 
     SHA-256 of the canonical "master:label:index" string; distinct inputs
-    give distinct seeds for any practical trial count.
+    give distinct seeds for any practical trial count.  A float or a string
+    seed or index is a TypeError, never truncated onto an integer's seed.
     """
-    key = f"{int(master_seed)}:{label}:{int(index)}".encode()
+    key = f"{operator.index(master_seed)}:{label}:{operator.index(index)}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "little")
 
 
@@ -227,7 +228,9 @@ def scores_rows(fn: Callable) -> Callable:
 
     ``fn(xs)`` must return the m values that the calls ``fn(xs[i])`` return,
     bit for bit.  The mark sits on the function itself, so an objective
-    whose ``fn`` wraps a marked function is evaluated point by point.
+    whose ``fn`` wraps a marked function is evaluated point by point.  A
+    return of any shape other than ``(m,)`` is refused with a ValueError
+    before any of the m evaluations is charged.
     """
     fn.scores_rows = True
     return fn
@@ -249,6 +252,11 @@ def counted_values(obj: Objective, xs: np.ndarray, budget: EvalBudget) -> Iterat
             yield counted_evaluate(obj, x, budget)
         return
     values = obj.fn(xs[:k])
+    if np.shape(values) != (k,):
+        raise ValueError(
+            f"{obj.name}'s scores_rows function returned shape {np.shape(values)} "
+            f"for a block of shape {xs[:k].shape}"
+        )
     for value in np.where(np.isfinite(values), values, math.inf).tolist():
         budget.used += 1
         yield value

@@ -13,7 +13,7 @@ from batbench import harness
 from batbench.benchmarks import benchmark_spec, dim_constraint
 from batbench.baselines import GaParams, PsoParams
 from batbench.bat import BatParams
-from batbench.core import Bounds, Objective, counted_evaluate_rows, derive_seed, scores_rows
+from batbench.core import Bounds, EvalBudget, Objective, counted_evaluate_rows, derive_seed, scores_rows
 from batbench.harness import (
     ALGORITHMS,
     Algorithm,
@@ -209,6 +209,35 @@ def test_non_finite_values_rank_worst(algorithm, slabs, rows):
     assert r.evaluations_used == 400 or r.success
 
 
+_BAD_RETURNS = {
+    "short": lambda values: values[:-1],
+    "long": lambda values: np.append(values, 0.0),
+    "scalar": lambda values: float(values[0]),
+    "2-D": lambda values: values[:, None],
+}
+
+
+@pytest.mark.parametrize("algorithm", ["bat", "pso", "ga"])
+@pytest.mark.parametrize("bad", list(_BAD_RETURNS))
+def test_a_marked_function_of_the_wrong_shape_is_refused_before_any_charge(algorithm, bad):
+    # Each algorithm scores its 40 start-up rows first, so a marked function
+    # that returns anything but their 40 values is refused there, by name
+    # and shapes, before any of them is charged.
+    sphere = benchmark_spec("dejong_sphere", 4).objective
+    objective = dataclasses.replace(sphere, fn=scores_rows(lambda xs: _BAD_RETURNS[bad](sphere.fn(xs))))
+    block = np.zeros((40, 4))
+    message = re.escape(
+        f"dejong_sphere's scores_rows function returned shape {np.shape(objective.fn(block))} "
+        "for a block of shape (40, 4)"
+    )
+    with pytest.raises(ValueError, match=message):
+        run_trial(algorithm, objective, None, 200, seed=1)
+    budget = EvalBudget(200)
+    with pytest.raises(ValueError, match=message):
+        counted_evaluate_rows(objective, block, budget)
+    assert budget.used == 0
+
+
 def _probability():
     return st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
@@ -308,6 +337,10 @@ def test_experiment_counts_and_seed_derivation():
     assert by_algo["bat"][3].seed == derive_seed(42, "bat", 3)
     assert by_algo["pso"][3].seed == derive_seed(42, "pso", 3)
     assert len({r.seed for rs in by_algo.values() for r in rs}) == 14
+    # A float or string master seed is refused, not truncated onto an integer's campaign.
+    for master_seed in (1.9, "1"):
+        with pytest.raises(TypeError):
+            experiment_trials(["bat"], SPHERE2, None, 200, trials=1, master_seed=master_seed)
 
 
 def test_experiment_concurrency_invariance():
