@@ -50,6 +50,7 @@ BLAS_DEFAULT = "tests/test_cli.py::test_only_the_program_sets_one_blas_thread_an
 CHILD_BYTES = "tests/test_cli.py::test_a_cli_child_writes_the_bytes_and_exit_code_of_run_cli"
 SHAPE_TABLE = "tests/test_harness.py::test_a_marked_function_of_the_wrong_shape_is_refused_before_any_charge"
 SEED_DERIVATION = "tests/test_harness.py::test_experiment_counts_and_seed_derivation"
+NOT_INTEGERS = "tests/test_harness.py::test_a_budget_or_count_that_is_not_an_integer_is_refused_before_any_evaluation"
 
 
 class Mutant(NamedTuple):
@@ -107,6 +108,12 @@ MUTANTS = [
         "{operator.index(master_seed)}:{label}:{operator.index(index)}",
         "{int(master_seed)}:{label}:{int(index)}",
         (SEED_DERIVATION,),
+    ),
+    Mutant(
+        "budget-limit-truncated", CORE,
+        "self.max_evaluations = operator.index(self.max_evaluations)",
+        "self.max_evaluations = int(self.max_evaluations)",
+        (NOT_INTEGERS,),
     ),
     Mutant("row-function-shape-unchecked", CORE, "    if np.shape(values) != (k,):\n", "    if False:\n", (SHAPE_TABLE,)),
     Mutant(

@@ -120,7 +120,7 @@ def shubert(x: np.ndarray) -> Values:
 
 # Four well-separated Gaussian wells of distinct depth; the deepest (2.0 at
 # (3,3)) is the global minimum.  Cross-talk between wells is < 1e-11, so the
-# center is the argmin to well below the metadata tolerance.
+# stated minimum -2.0 holds to well below the metadata tolerance.
 _PEAK_CENTERS = np.array([[3.0, 3.0], [-3.0, -3.0], [3.0, -3.0], [-3.0, 3.0]])
 _PEAK_HEIGHTS = np.array([2.0, 1.5, 1.2, 1.0])
 _PEAK_WIDTH = 0.8
@@ -132,8 +132,9 @@ def multiple_peaks(x: np.ndarray) -> Values:
     return -np.add.reduce(_PEAK_HEIGHTS * np.exp(-d2 / (2.0 * _PEAK_WIDTH**2)), axis=-1)
 
 
-# Frozen high-precision minimizers (grid-refinement; see tests for the
-# oracle that re-derives them).
+# Frozen high-precision minimizers of the three functions whose minimum is
+# their value there (grid refinement; see tests for the oracle that
+# re-derives them).
 _MICHALEWICZ_ARGMIN = {
     2: np.array([2.202905520481451, np.pi / 2]),
     5: np.array(
@@ -162,39 +163,27 @@ class _Definition:
     fn: Callable[[Vector], float]
     lo: float
     hi: float
-    # argmin(dim) -> vector or None when unknown for that dim
-    argmin: Callable[[int], Optional[np.ndarray]]
     fixed_dim: Optional[int] = None  # None: any dim >= min_dim
     min_dim: int = 1
-    # explicit optimum value; None means "evaluate fn at argmin"
+    # A minimum is stated, or derived as fn(argmin(dim)); argmin returns
+    # None where no minimizer is stored for that dim.
     min_value: Optional[float] = None
+    argmin: Callable[[int], Optional[Vector]] = lambda dim: None
 
 
 _REGISTRY: dict[str, _Definition] = {
-    "rosenbrock_paper": _Definition(
-        rosenbrock_paper, -2.048, 2.048, min_dim=2, argmin=np.ones, min_value=0.0
-    ),
-    "rosenbrock_classic": _Definition(
-        rosenbrock_classic, -2.048, 2.048, min_dim=2, argmin=np.ones, min_value=0.0
-    ),
-    "eggcrate": _Definition(
-        eggcrate, -2.0 * np.pi, 2.0 * np.pi, fixed_dim=2, argmin=np.zeros, min_value=0.0
-    ),
-    "dejong_sphere": _Definition(dejong_sphere, -10.0, 10.0, argmin=np.zeros, min_value=0.0),
-    "ackley": _Definition(ackley, -30.0, 30.0, argmin=np.zeros, min_value=0.0),
-    "michalewicz": _Definition(michalewicz, 0.0, np.pi, argmin=lambda dim: _MICHALEWICZ_ARGMIN.get(dim)),
-    "rastrigin": _Definition(rastrigin, -5.12, 5.12, argmin=np.zeros, min_value=0.0),
-    "griewank": _Definition(griewank, -600.0, 600.0, argmin=np.zeros, min_value=0.0),
-    "easom": _Definition(
-        easom, -100.0, 100.0, fixed_dim=2, argmin=lambda dim: np.array([np.pi, np.pi]), min_value=-1.0
-    ),
-    "schwefel": _Definition(
-        schwefel, -500.0, 500.0, argmin=lambda dim: np.full(dim, _SCHWEFEL_COORD_ARGMIN)
-    ),
-    "shubert": _Definition(shubert, -10.0, 10.0, fixed_dim=2, argmin=lambda dim: _SHUBERT_ARGMIN.copy()),
-    "multiple_peaks": _Definition(
-        multiple_peaks, -5.0, 5.0, fixed_dim=2, argmin=lambda dim: np.array([3.0, 3.0]), min_value=-2.0
-    ),
+    "rosenbrock_paper": _Definition(rosenbrock_paper, -2.048, 2.048, min_dim=2, min_value=0.0),
+    "rosenbrock_classic": _Definition(rosenbrock_classic, -2.048, 2.048, min_dim=2, min_value=0.0),
+    "eggcrate": _Definition(eggcrate, -2.0 * np.pi, 2.0 * np.pi, fixed_dim=2, min_value=0.0),
+    "dejong_sphere": _Definition(dejong_sphere, -10.0, 10.0, min_value=0.0),
+    "ackley": _Definition(ackley, -30.0, 30.0, min_value=0.0),
+    "michalewicz": _Definition(michalewicz, 0.0, np.pi, argmin=_MICHALEWICZ_ARGMIN.get),
+    "rastrigin": _Definition(rastrigin, -5.12, 5.12, min_value=0.0),
+    "griewank": _Definition(griewank, -600.0, 600.0, min_value=0.0),
+    "easom": _Definition(easom, -100.0, 100.0, fixed_dim=2, min_value=-1.0),
+    "schwefel": _Definition(schwefel, -500.0, 500.0, argmin=lambda dim: np.full(dim, _SCHWEFEL_COORD_ARGMIN)),
+    "shubert": _Definition(shubert, -10.0, 10.0, fixed_dim=2, argmin=lambda dim: _SHUBERT_ARGMIN),
+    "multiple_peaks": _Definition(multiple_peaks, -5.0, 5.0, fixed_dim=2, min_value=-2.0),
 }
 
 _ALIASES = {"sphere": "dejong_sphere", "dejong": "dejong_sphere"}
@@ -234,19 +223,6 @@ def benchmark_spec(name: str, dim: Optional[int] = None) -> BenchmarkSpec:
     if dim < d.min_dim:
         raise ValueError(f"{name} requires d>={d.min_dim}, got d={dim}")
     argmin = d.argmin(dim)
-    if argmin is None:
-        known_min = None
-    elif d.min_value is not None:
-        known_min = d.min_value
-    else:
-        known_min = float(d.fn(argmin))
-    objective = Objective(
-        name=key,
-        dim=dim,
-        bounds=Bounds.cube(d.lo, d.hi, dim),
-        fn=d.fn,
-        known_min=known_min,
-        known_argmin=argmin,
-    )
-    return BenchmarkSpec(objective)
+    known_min = d.min_value if argmin is None else float(d.fn(argmin))
+    return BenchmarkSpec(Objective(key, dim, Bounds.cube(d.lo, d.hi, dim), d.fn, known_min))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -90,11 +90,11 @@ class Bounds:
 
 @dataclass(frozen=True)
 class Objective:
-    """Named evaluatable function with domain and known-optimum metadata.
+    """Named evaluatable function with its domain and, optionally, its
+    known minimum (finite), from which a trial's tolerance is measured.
 
     Evaluation must be deterministic: the same point always yields the
-    same value.  ``known_min`` (finite) and ``known_argmin`` are optional;
-    when both are present, ``fn(known_argmin) == known_min`` within 1e-9.
+    same value.
     """
 
     name: str
@@ -102,7 +102,6 @@ class Objective:
     bounds: Bounds
     fn: Callable[[Vector], float]
     known_min: Optional[float] = None
-    known_argmin: Optional[Vector] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -111,12 +110,6 @@ class Objective:
             raise ValueError(f"bounds dimension {self.bounds.dim} != dim {self.dim}")
         if self.known_min is not None and not math.isfinite(self.known_min):
             raise ValueError("known_min must be finite")
-        if self.known_argmin is not None:
-            arg = _as_vector(self.known_argmin, "known_argmin")
-            if arg.size != self.dim:
-                raise ValueError("known_argmin dimension mismatch")
-            arg.setflags(write=False)
-            object.__setattr__(self, "known_argmin", arg)
 
     def __call__(self, x) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
@@ -173,16 +166,17 @@ def derive_seed(master_seed: int, label: str, index: int) -> int:
 
 @dataclass
 class EvalBudget:
-    """Monotone counter of objective evaluations, capped at max_evaluations."""
+    """Monotone counter of objective evaluations, capped at max_evaluations;
+    it starts unspent.  A limit that is not an integer is a TypeError, never
+    truncated."""
 
     max_evaluations: int
-    used: int = 0
+    used: int = field(default=0, init=False)
 
     def __post_init__(self):
+        self.max_evaluations = operator.index(self.max_evaluations)
         if self.max_evaluations < 1:
             raise ValueError("max_evaluations must be positive")
-        if not 0 <= self.used <= self.max_evaluations:
-            raise ValueError("used must lie in [0, max_evaluations]")
 
     @property
     def remaining(self) -> int:

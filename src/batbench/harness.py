@@ -11,6 +11,7 @@ rate is reported separately over all trials.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -28,7 +29,6 @@ __all__ = [
     "TrajectoryRecord",
     "Recorder",
     "check_stop_at",
-    "lookup_algorithm",
     "default_params",
     "trial_params",
     "run_trial",
@@ -102,19 +102,11 @@ class ExperimentSummary:
 
 
 class UnknownAlgorithmError(KeyError):
-    """Algorithm identifier outside {bat, pso, ga}."""
-
-
-def lookup_algorithm(name: str) -> Algorithm:
-    """The ALGORITHMS entry of `name`; UnknownAlgorithmError if there is none."""
-    try:
-        return ALGORITHMS[name]
-    except KeyError:
-        raise UnknownAlgorithmError(name) from None
+    """Any algorithm name not in ALGORITHMS."""
 
 
 def default_params(name: str) -> AlgorithmParams:
-    return lookup_algorithm(name).params()
+    return trial_params(name, None)
 
 
 def check_stop_at(stop_at: Optional[float], obj: Objective) -> None:
@@ -131,7 +123,10 @@ def check_stop_at(stop_at: Optional[float], obj: Objective) -> None:
 def trial_params(algorithm: str, params: Optional[AlgorithmParams]) -> AlgorithmParams:
     """`params`, or the algorithm's defaults for None; UnknownAlgorithmError
     for an unknown algorithm, ValueError for another algorithm's params."""
-    entry = lookup_algorithm(algorithm)
+    try:
+        entry = ALGORITHMS[algorithm]
+    except KeyError:
+        raise UnknownAlgorithmError(algorithm) from None
     if params is None:
         return entry.params()
     if not isinstance(params, entry.params):
@@ -161,9 +156,9 @@ def run_trial(
     There is no iteration cap: a budget of n*(t+1) runs exactly t sweeps.
     The recorder receives one TrajectoryRecord per complete sweep, with a
     copy of its positions.  Before any evaluation, in this order, an
-    unknown algorithm, params that trial_params refuses, a budget below one
-    evaluation, a tolerance that check_stop_at refuses and a seed that
-    RandomStream refuses raise.
+    unknown algorithm, params that trial_params refuses, a budget that is
+    not an integer (TypeError) or is below one evaluation, a tolerance that
+    check_stop_at refuses and a seed that RandomStream refuses raise.
     """
     params = trial_params(algorithm, params)
     budget = EvalBudget(max_evals)
@@ -211,14 +206,16 @@ def check_campaign(
     order: an unknown algorithm (UnknownAlgorithmError); then, as
     ValueError, an algorithm or objective name given twice (a registry alias
     names its function), fewer than one trial or worker, a budget below one
-    evaluation, or a tolerance that check_stop_at refuses on an objective."""
+    evaluation, or a tolerance that check_stop_at refuses on an objective.
+    A trial count, worker count or budget that is not an integer is a
+    TypeError where its ValueError would be."""
     for algorithm in algorithms:
-        lookup_algorithm(algorithm)
+        trial_params(algorithm, None)
     if len(set(algorithms)) < len(algorithms) or len({o.name for o in objectives}) < len(objectives):
         raise ValueError("each algorithm and function may be named once")
-    if trials < 1:
+    if operator.index(trials) < 1:
         raise ValueError("trials must be >= 1")
-    if workers < 1:
+    if operator.index(workers) < 1:
         raise ValueError("workers must be >= 1")
     EvalBudget(max_evals)
     for objective in objectives:

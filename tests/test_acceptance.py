@@ -348,7 +348,7 @@ def test_criterion_7_evaluation_accounting():
     for algo, params in (("bat", BatParams(n=20)), ("pso", PsoParams(n=20)), ("ga", GaParams(n=20))):
         for stop_at, max_evals in ((None, 20 * 26), (1.0, 20 * 200)):
             counter = CallCounter(spec.objective.fn)
-            obj = Objective("sphere", 2, spec.objective.bounds, counter, 0.0, np.zeros(2))
+            obj = Objective("sphere", 2, spec.objective.bounds, counter, 0.0)
             result = run_trial(algo, obj, stop_at, max_evals, 17, params)
             expected = 20 + 20 * result.iterations
             if not (result.evaluations_used == expected == counter.calls):

@@ -49,7 +49,7 @@ def test_pso_gbest_particle_is_stationary():
 def test_pso_monotone_best_and_accounting():
     params = PsoParams(n=8)
     counter = CallCounter(SPHERE2.fn)
-    obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0, np.zeros(2))
+    obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0)
     records = []
     result = run_trial("pso", obj, None, 8 * 51, 3, params, records.append)
     assert result.evaluations_used == counter.calls == 8 + 8 * result.iterations
@@ -119,7 +119,7 @@ def test_ga_best_ever_monotone_without_elitism():
 def test_ga_accounting_with_counter_oracle():
     params = GaParams(n=10)
     counter = CallCounter(SPHERE2.fn)
-    obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0, np.zeros(2))
+    obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0)
     result = run_trial("ga", obj, None, 10 * 26, 3, params)
     assert result.evaluations_used == counter.calls == 10 + 10 * result.iterations
 

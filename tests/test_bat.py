@@ -263,7 +263,7 @@ def test_bat_step_pulse_zero_walks_locally():
 def test_run_accounting_and_bounds_sweep():
     params = BatParams(n=10)
     counter = CallCounter(SPHERE2.fn)
-    obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0, np.zeros(2))
+    obj = Objective("sphere", 2, SPHERE2.bounds, counter, 0.0)
     records = []
     result = run_trial("bat", obj, None, 10 * 31, 21, params, records.append)
     assert result.evaluations_used == counter.calls
@@ -333,7 +333,7 @@ def test_bat_step_cut_sweep_charges_only_the_remaining_budget():
     # 3 evaluations are left for 7 bats: the sweep evaluates 3 candidates.
     rastrigin = benchmark_spec("rastrigin", 3).objective
     counter = CallCounter(rastrigin.fn)
-    obj = Objective("rastrigin", 3, rastrigin.bounds, counter, 0.0, np.zeros(3))
+    obj = Objective("rastrigin", 3, rastrigin.bounds, counter, 0.0)
     params = BatParams(n=7)
     budget = EvalBudget(7 + 3)
     state = init_bats(params, obj, RandomStream(4), budget)

@@ -55,8 +55,8 @@ def test_michalewicz_grid_refinement_oracle():
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_registry_entries_equal_the_frozen_table(name):
-    # Under every name and at every d in 1-6 and 16: the box, the known
-    # minimum and minimizer, or a refusal of a d the function does not take.
+    # Under every name and at every d in 1-6 and 16: the box and the known
+    # minimum, or a refusal of a d the function does not take.
     entry = REGISTRY[name]
     assert registry_names() == sorted(REGISTRY)
     for label in [name] + [alias for alias, canonical in REGISTRY_ALIASES.items() if canonical == name]:
@@ -67,10 +67,10 @@ def test_registry_entries_equal_the_frozen_table(name):
                     benchmark_spec(label, d)
                 continue
             o = benchmark_spec(label, d).objective
-            argmin = None if o.known_argmin is None else o.known_argmin.tolist()
+            known_min, _ = entry.minimum(d) or (None, None)
             assert (o.name, o.dim) == (name, d)
             assert (o.bounds.lower.tolist(), o.bounds.upper.tolist()) == ([entry.lo] * d, [entry.hi] * d)
-            assert (o.known_min, argmin) == (entry.minimum(d) or (None, None))
+            assert o.known_min == known_min
 
 
 def test_benchmark_spec_errors():
@@ -85,11 +85,13 @@ def test_objective_call_takes_a_list():
 
 
 def test_registry_known_minima_consistent():
+    # The package's formula at the frozen minimizer gives the known minimum.
     for name, entry in REGISTRY.items():
         for d in filter(entry.takes, (2, 5, 16)):
             obj = benchmark_spec(name, d).objective
             if obj.known_min is not None:
-                assert abs(obj(obj.known_argmin) - obj.known_min) <= 1e-9, name
+                _, argmin = entry.minimum(d)
+                assert abs(obj(argmin) - obj.known_min) <= 1e-9, name
 
 
 def test_all_functions_finite_inside_bounds():
@@ -152,7 +154,7 @@ def test_multiple_peaks_oracle():
 def test_schwefel_oracle():
     xstar, neg_peak = refine_1d(lambda t: -(t * np.sin(np.sqrt(t))), 400.0, 440.0)
     spec = benchmark_spec("schwefel", 2)
-    arg = spec.objective.known_argmin
+    arg = np.array(REGISTRY["schwefel"].minimum(2)[1])
     assert arg[0] == pytest.approx(xstar, abs=1e-5)
     assert spec.objective.known_min == pytest.approx(2 * (418.9829 + neg_peak), abs=1e-7)
     assert schwefel(arg) == spec.objective.known_min
@@ -202,16 +204,16 @@ def test_formulas_equal_their_frozen_point_forms_bit_for_bit(name, data):
 @pytest.mark.parametrize("name", registry_names())
 def test_formulas_equal_their_frozen_point_forms_on_fixed_points(name):
     # 20,000 seeded points at the fixed dim, else d=16: half uniform in the
-    # box, half at scales 1 and 10 around the argmin (the box centre where
-    # none is known), clamped to the box.  Uniform points alone miss a
-    # last-bit change in Easom, whose exp underflows away from its well.
+    # box, half at scales 1 and 10 around the frozen minimizer (the box
+    # centre where none is stored), clamped to the box.  Uniform points
+    # alone miss a last-bit change in Easom, whose exp underflows away from
+    # its well.
     constraint = dim_constraint(name)
     d = int(constraint[2:]) if constraint.startswith("d=") else 16
     objective = benchmark_spec(name, d).objective
     b = objective.bounds
-    centre = objective.known_argmin
-    if centre is None:
-        centre = (b.lower + b.upper) / 2
+    minimum = REGISTRY[name].minimum(d)
+    centre = (b.lower + b.upper) / 2 if minimum is None else np.array(minimum[1])
     rng = np.random.default_rng(0)
     uniform = b.lower + rng.random((10_000, d)) * b.width
     scale = np.repeat([1.0, 10.0], 5_000)[:, None]

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batbench import benchmarks
 from batbench.baselines import _initial_population
 from batbench.core import (
     Bounds,
@@ -66,24 +65,17 @@ def test_bounds_validation():
         Objective("o", 0, BOX2, sphere)
     with pytest.raises(ValueError, match="bounds dimension"):
         Objective("o", 3, BOX2, sphere)
-    with pytest.raises(ValueError, match="known_argmin dimension"):
-        Objective("o", 2, BOX2, sphere, 0.0, np.zeros(3))
     assert BOX2.dim == 2
     assert BOX2.width == pytest.approx([4.096, 4.096])
 
 
 def test_bounds_and_objective_freeze_copies_not_the_callers_arrays():
-    lo, hi, argmin = np.zeros(2), np.ones(2), np.full(2, 0.5)
+    lo, hi = np.zeros(2), np.ones(2)
     bounds = Bounds(lo, hi)
-    obj = Objective("sphere", 2, bounds, lambda x: float(x @ x), 0.0, argmin)
-    lo[0], hi[0], argmin[0] = -1.0, 2.0, 0.25
-    assert bounds.lower.tolist() == [0.0, 0.0] and bounds.upper.tolist() == [1.0, 1.0]
-    assert obj.known_argmin.tolist() == [0.5, 0.5]
-    frozen = (bounds.lower, bounds.upper, obj.known_argmin)
-    assert not any(a.flags.writeable for a in frozen)
-    # The registry's own minimizer table stays writable too.
-    benchmark_spec("michalewicz", 2)
-    assert benchmarks._MICHALEWICZ_ARGMIN[2].flags.writeable
+    obj = Objective("sphere", 2, bounds, lambda x: float(x @ x), 0.0)
+    lo[0], hi[0] = -1.0, 2.0
+    assert obj.bounds.lower.tolist() == [0.0, 0.0] and obj.bounds.upper.tolist() == [1.0, 1.0]
+    assert not any(a.flags.writeable for a in (obj.bounds.lower, obj.bounds.upper))
 
 
 def test_clamp_examples():
@@ -192,8 +184,13 @@ def _sphere_objective(dim=2):
         bounds=Bounds.cube(-10.0, 10.0, dim),
         fn=lambda x: float(np.sum(np.asarray(x) ** 2)),
         known_min=0.0,
-        known_argmin=np.zeros(dim),
     )
+
+
+def _part_spent(limit, used):
+    budget = EvalBudget(limit)
+    budget.used = used
+    return budget
 
 
 def test_counted_evaluate_counts():
@@ -208,7 +205,7 @@ def test_counted_evaluate_counts():
 
 def test_counted_evaluate_budget_exceeded_leaves_counter():
     obj = _sphere_objective()
-    budget = EvalBudget(2, used=2)
+    budget = _part_spent(2, 2)
     with pytest.raises(BudgetExceededError):
         counted_evaluate(obj, np.zeros(2), budget)
     assert budget.used == 2
@@ -217,14 +214,13 @@ def test_counted_evaluate_budget_exceeded_leaves_counter():
 def test_budget_validation():
     with pytest.raises(ValueError):
         EvalBudget(0)
-    with pytest.raises(ValueError):
-        EvalBudget(5, used=6)
-    assert EvalBudget(5, used=2).remaining == 3
+    assert EvalBudget(5).used == 0
+    assert _part_spent(5, 2).remaining == 3
 
 
 def test_objective_known_min_consistency():
     obj = _sphere_objective()
-    assert abs(obj(obj.known_argmin) - obj.known_min) <= 1e-9
+    assert abs(obj(np.zeros(2)) - obj.known_min) <= 1e-9
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -258,7 +254,7 @@ def test_counted_evaluate_rows_charges_min_of_rows_and_remaining(m, max_evaluati
         fn = counter
     obj = dataclasses.replace(rastrigin, fn=fn)
     xs = rastrigin.bounds.lower + np.random.default_rng(seed).random((m, 3)) * rastrigin.bounds.width
-    budget = EvalBudget(max_evaluations, used=used)
+    budget = _part_spent(max_evaluations, used)
     values = counted_evaluate_rows(obj, xs, budget)
     k = min(m, max_evaluations - used)
     assert budget.used == used + k
@@ -269,7 +265,7 @@ def test_counted_evaluate_rows_charges_min_of_rows_and_remaining(m, max_evaluati
         assert counter.calls == 1
     # Taking only the first j values charges j units.
     j = min(taken, k)
-    budget = EvalBudget(max_evaluations, used=used)
+    budget = _part_spent(max_evaluations, used)
     counter.calls = 0
     prefix = list(itertools.islice(counted_values(obj, xs, budget), j))
     assert budget.used == used + j

@@ -238,6 +238,27 @@ def test_a_marked_function_of_the_wrong_shape_is_refused_before_any_charge(algor
     assert budget.used == 0
 
 
+_NOT_INTEGERS = [
+    ("max_evals", 410.5), ("max_evals", 400.0), ("trials", 2.5), ("trials", 2.0), ("workers", 1.5), ("workers", 2.0)
+]
+
+
+@pytest.mark.parametrize("argument, value", _NOT_INTEGERS)
+def test_a_budget_or_count_that_is_not_an_integer_is_refused_before_any_evaluation(argument, value):
+    # A float is never truncated onto an integer: a budget of 410.5 would
+    # spend 400 evaluations first, and 1.5 workers would start a pool.
+    counter = CallCounter(SPHERE2.fn)
+    obj = dataclasses.replace(SPHERE2, fn=counter)
+    campaign = {"max_evals": 400, "trials": 2, "workers": 1, argument: value}
+    with pytest.raises(TypeError):
+        experiment_trials(["bat", "pso", "ga"], obj, None, master_seed=0, **campaign)
+    if argument == "max_evals":
+        for algorithm in ("bat", "pso", "ga"):
+            with pytest.raises(TypeError):
+                run_trial(algorithm, obj, None, value, 0)
+    assert counter.calls == 0
+
+
 def _probability():
     return st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
