@@ -51,6 +51,8 @@ CHILD_BYTES = "tests/test_cli.py::test_a_cli_child_writes_the_bytes_and_exit_cod
 SHAPE_TABLE = "tests/test_harness.py::test_a_marked_function_of_the_wrong_shape_is_refused_before_any_charge"
 SEED_DERIVATION = "tests/test_harness.py::test_experiment_counts_and_seed_derivation"
 NOT_INTEGERS = "tests/test_harness.py::test_a_budget_or_count_that_is_not_an_integer_is_refused_before_any_evaluation"
+NOT_INTEGER_SIZES = "tests/test_harness.py::test_a_population_or_dimension_that_is_not_an_integer_is_refused_where_it_is_given"
+GA_LAYOUT = "tests/test_baselines.py::test_draw_generation_equals_a_scalar_replay_of_the_layout"
 
 
 class Mutant(NamedTuple):
@@ -115,7 +117,13 @@ MUTANTS = [
         "self.max_evaluations = int(self.max_evaluations)",
         (NOT_INTEGERS,),
     ),
-    Mutant("row-function-shape-unchecked", CORE, "    if np.shape(values) != (k,):\n", "    if False:\n", (SHAPE_TABLE,)),
+    Mutant("row-function-shape-unchecked", CORE, "    if np.shape(values) != (len(xs),):\n", "    if False:\n", (SHAPE_TABLE,)),
+    Mutant(
+        "population-truncated", BAT,
+        'object.__setattr__(self, "n", operator.index(self.n))',
+        'object.__setattr__(self, "n", int(self.n))',
+        (NOT_INTEGER_SIZES,),
+    ),
     Mutant(
         "bat-frequency-as-interpolation", BAT,
         "frequencies = params.f_min + (params.f_max - params.f_min) * beta",
@@ -170,6 +178,18 @@ MUTANTS = [
         "        if n % 2:\n"
         "            offspring[-1] = np.where(draws.take_a[-1], parents[-1], parents[-2])\n",
         (PROPERTY,),
+    ),
+    Mutant(
+        "ga-give-back-dropped", BASELINES,
+        "            rng.rewind(d)\n",
+        "            pass\n",
+        (GA_LAYOUT,),
+    ),
+    Mutant(
+        "ga-child-one-mutation-draws-from-the-mask-columns", BASELINES,
+        "np.where(crossed[:, None], heads[:, 3 + d :], masks)",
+        "masks",
+        (GA_LAYOUT,),
     ),
     Mutant(
         "ga-extra-pick-after-its-mutation-draws", BASELINES,

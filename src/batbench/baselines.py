@@ -9,6 +9,7 @@ spent, and feeds the same trajectory-sink contract as the bat optimizer.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,6 +52,7 @@ class PsoParams:
     inertia: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))  # TypeError for a float, never truncated
         if self.n < 2:
             raise ValueError("population size must be >= 2")
         # Written so that a NaN fails it.
@@ -69,6 +71,7 @@ class GaParams:
     p_crossover: float = 0.95
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))  # TypeError for a float, never truncated
         if self.n < 2:
             raise ValueError("population size must be >= 2")
         if not 0.0 <= self.p_mutation <= 1.0:
@@ -98,8 +101,7 @@ def pso_sweeps(params: PsoParams, obj: Objective, budget: EvalBudget, rng: Rando
     vmax = VELOCITY_CLAMP_FRACTION * bounds.width
     while True:
         yield gbest_val, gbest, x
-        u1 = rng.uniform_vector(n * d).reshape(n, d)
-        u2 = rng.uniform_vector(n * d).reshape(n, d)
+        u1, u2 = rng.uniform_vector(2 * n * d).reshape(2, n, d)
         v = params.inertia * v + params.c1 * u1 * (pbest - x) + params.c2 * u2 * (gbest - x)
         np.clip(v, -vmax, vmax, out=v)
         x = clamp_to_bounds(x + v, bounds)
@@ -137,33 +139,34 @@ def draw_generation(
     draws (child one takes a's gene below 0.5); then child one's d mutation
     draws (mutates below p_mutation) and d normal steps, then child two's.
     An odd n ends with one roulette draw, d mutation draws and d steps for
-    the extra child.  Uniform draws that follow one another come as one
-    block; normal draws stay separate calls, as a ziggurat draw takes a
-    variable number of raw outputs.
+    the extra child.  A pair's draws up to child one's steps come as one
+    block of 3 + 2d uniforms, and a pair whose gate does not fire gives the
+    last d back, so that its mutation draws are the d after the gate.
+    Normal draws stay separate calls, as a ziggurat draw takes a variable
+    number of raw outputs.
     """
     pairs = n // 2
-    picks = np.empty(n)
-    crossed = np.zeros(pairs, dtype=bool)
-    take_u = np.zeros((pairs, d))
+    heads = np.empty((pairs, 3 + 2 * d))
     mutate_u = np.empty((n, d))
     steps = np.empty((n, d))
-    for p in range(pairs):
-        head = rng.uniform_vector(3)
-        picks[2 * p : 2 * p + 2] = head[:2]
-        crossed[p] = head[2] < p_crossover
-        block = rng.uniform_vector(2 * d if crossed[p] else d)
-        if crossed[p]:
-            take_u[p] = block[:d]
-        mutate_u[2 * p] = block[-d:]
-        steps[2 * p] = rng.normal_vector(d)
-        mutate_u[2 * p + 1] = rng.uniform_vector(d)
-        steps[2 * p + 1] = rng.normal_vector(d)
+    for head, steps_a, mutate_b, steps_b in zip(heads, steps[::2], mutate_u[1::2], steps[1::2]):
+        rng.uniform_vector(out=head)
+        if head[2] >= p_crossover:
+            rng.rewind(d)
+        rng.normal_vector(out=steps_a)
+        rng.uniform_vector(out=mutate_b)
+        rng.normal_vector(out=steps_b)
+    crossed = heads[:, 2] < p_crossover
+    masks = heads[:, 3 : 3 + d]
+    mutate_u[0 : 2 * pairs : 2] = np.where(crossed[:, None], heads[:, 3 + d :], masks)
+    picks = np.empty(n)
+    picks[: 2 * pairs] = heads[:, :2].ravel()
     if n % 2:
         tail = rng.uniform_vector(1 + d)
         picks[-1] = tail[0]
         mutate_u[-1] = tail[1:]
-        steps[-1] = rng.normal_vector(d)
-    return GenerationDraws(picks, crossed, take_u < 0.5, mutate_u < p_mutation, steps)
+        rng.normal_vector(out=steps[-1])
+    return GenerationDraws(picks, crossed, ~crossed[:, None] | (masks < 0.5), mutate_u < p_mutation, steps)
 
 
 def ga_sweeps(params: GaParams, obj: Objective, budget: EvalBudget, rng: RandomStream) -> Sweeps:

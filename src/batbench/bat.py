@@ -17,6 +17,7 @@ moves aim at.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,7 @@ class BatParams:
     gamma: float = 0.9
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))  # TypeError for a float, never truncated
         if self.n < 1:
             raise ValueError("population size must be >= 1")
         # Equal ends are allowed: f_min = f_max = 0 disables the global move.

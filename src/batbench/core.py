@@ -104,6 +104,7 @@ class Objective:
     known_min: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", operator.index(self.dim))  # TypeError for a float, never truncated
         if self.dim < 1:
             raise ValueError("dim must be positive")
         if self.bounds.dim != self.dim:
@@ -135,9 +136,10 @@ class RandomStream:
         """One draw from [0, 1)."""
         return float(self._gen.random())
 
-    def uniform_vector(self, d: int) -> Vector:
-        """d draws from [0, 1)."""
-        return self._gen.random(d)
+    def uniform_vector(self, d: Optional[int] = None, out: Optional[Vector] = None) -> Vector:
+        """d draws from [0, 1), or as many as out holds written into out, a
+        contiguous float64 array; the draws are the same either way."""
+        return self._gen.random(d, out=out)
 
     def rewind(self, k: int) -> None:
         """Take back the last k draws.
@@ -145,12 +147,14 @@ class RandomStream:
         PCG64 steps a 128-bit LCG, so advancing it 2**128 - k steps lands
         where it stood k draws earlier.  As a block of draws equals the same
         number of scalar draws, a caller can draw a worst-case block and
-        give back what it did not use.
+        give back what it did not use: bat.bat_step its skipped walk draws,
+        baselines.draw_generation the masks of pairs that do not cross.
         """
         self._gen.bit_generator.advance(-int(k) % 2**128)
 
-    def normal_vector(self, d: int) -> Vector:
-        return self._gen.standard_normal(d)
+    def normal_vector(self, d: Optional[int] = None, out: Optional[Vector] = None) -> Vector:
+        """d standard normal draws, or as many as out holds written into out."""
+        return self._gen.standard_normal(d, out=out)
 
 
 def derive_seed(master_seed: int, label: str, index: int) -> int:
@@ -230,6 +234,18 @@ def scores_rows(fn: Callable) -> Callable:
     return fn
 
 
+def _scored(obj: Objective, xs: np.ndarray) -> np.ndarray:
+    """A marked function's float64 values of the rows of xs, a non-finite one
+    as ``inf``; a return of any shape but one value per row is a ValueError."""
+    values = obj.fn(xs)
+    if np.shape(values) != (len(xs),):
+        raise ValueError(
+            f"{obj.name}'s scores_rows function returned shape {np.shape(values)} "
+            f"for a block of shape {xs.shape}"
+        )
+    return np.where(np.isfinite(values), values, math.inf).astype(float, copy=False)
+
+
 def counted_values(obj: Objective, xs: np.ndarray, budget: EvalBudget) -> Iterator[float]:
     """Yield the values of the first k = min(m, budget.remaining) rows of xs
     in order, charging one unit as each value is taken.
@@ -245,17 +261,15 @@ def counted_values(obj: Objective, xs: np.ndarray, budget: EvalBudget) -> Iterat
         for x in xs[:k]:
             yield counted_evaluate(obj, x, budget)
         return
-    values = obj.fn(xs[:k])
-    if np.shape(values) != (k,):
-        raise ValueError(
-            f"{obj.name}'s scores_rows function returned shape {np.shape(values)} "
-            f"for a block of shape {xs[:k].shape}"
-        )
-    for value in np.where(np.isfinite(values), values, math.inf).tolist():
+    for value in _scored(obj, xs[:k]).tolist():
         budget.used += 1
         yield value
 
 
 def counted_evaluate_rows(obj: Objective, xs: np.ndarray, budget: EvalBudget) -> np.ndarray:
     """The k values of :func:`counted_values`, all taken and charged."""
-    return np.fromiter(counted_values(obj, xs, budget), float)
+    if not getattr(obj.fn, "scores_rows", False):
+        return np.fromiter(counted_values(obj, xs, budget), float)
+    values = _scored(obj, xs[: budget.remaining])
+    budget.used += values.size
+    return values

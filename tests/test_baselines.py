@@ -141,3 +141,45 @@ def test_operator_rates_over_1e5_offspring():
         assert draws.take_a[~draws.crossed].all()
     assert applied / pairings == pytest.approx(0.95, abs=0.01)
     assert mutated_genes / (offspring * 10) == pytest.approx(0.05, abs=0.005)
+
+
+def _replayed_generation(rng, n, d, p_crossover, p_mutation):
+    """README's per-pair layout, each uniform drawn by its own scalar call:
+    U(3), the mask U(d) only when the gate fires, then U(d), N(d), U(d),
+    N(d); an odd n ends with U(1 + d) and N(d)."""
+    def uniforms(k):
+        return np.array([rng.uniform() for _ in range(k)])
+
+    picks, crossed, take_a, mutate, steps = [], [], [], [], []
+    for _ in range(n // 2):
+        a, b, gate = uniforms(3)
+        picks += [a, b]
+        crossed.append(gate < p_crossover)
+        take_a.append(uniforms(d) < 0.5 if crossed[-1] else np.ones(d, dtype=bool))
+        for _child in range(2):
+            mutate.append(uniforms(d) < p_mutation)
+            steps.append(rng.normal_vector(d))
+    if n % 2:
+        tail = uniforms(1 + d)
+        picks.append(tail[0])
+        mutate.append(tail[1:] < p_mutation)
+        steps.append(rng.normal_vector(d))
+    return (
+        np.array(picks), np.array(crossed, dtype=bool), np.array(take_a).reshape(-1, d),
+        np.array(mutate), np.array(steps),
+    )
+
+
+@pytest.mark.parametrize("p_crossover", [0.0, 0.5, 0.95, 1.0])
+@pytest.mark.parametrize("d", [1, 16])
+@pytest.mark.parametrize("n", [2, 3, 40, 41])
+def test_draw_generation_equals_a_scalar_replay_of_the_layout(n, d, p_crossover):
+    # Five generations bit for bit, and the draw after them: a pair whose
+    # gate does not fire gives its unused mask draws back.
+    drawn, replayed = RandomStream(99), RandomStream(99)
+    for _ in range(5):
+        draws = draw_generation(drawn, n, d, p_crossover, 0.5)
+        expected = _replayed_generation(replayed, n, d, p_crossover, 0.5)
+        for field, got, want in zip(draws._fields, draws, expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+    assert drawn.uniform() == replayed.uniform()

@@ -234,6 +234,17 @@ def test_non_finite_values_are_returned_as_inf_and_charged(bad):
     assert budget.used == 4
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_a_marked_function_of_another_dtype_gives_float64_values(dtype):
+    # Each value is the float64 of the returned one, on both paths.
+    returned = np.array([0.1, -2.5, 7.0]).astype(dtype)
+    obj = Objective("typed", 2, BOX2, scores_rows(lambda xs: returned[: len(xs)]))
+    expected = [float(v) for v in returned]
+    values = counted_evaluate_rows(obj, np.zeros((3, 2)), EvalBudget(5))
+    assert values.dtype == np.float64 and values.tolist() == expected
+    assert list(counted_values(obj, np.zeros((3, 2)), EvalBudget(5))) == expected
+
+
 @given(
     m=st.integers(1, 41),
     max_evaluations=st.integers(1, 100),

@@ -13,7 +13,9 @@ from batbench import harness
 from batbench.benchmarks import benchmark_spec, dim_constraint
 from batbench.baselines import GaParams, PsoParams
 from batbench.bat import BatParams
-from batbench.core import Bounds, EvalBudget, Objective, counted_evaluate_rows, derive_seed, scores_rows
+from batbench.core import (
+    Bounds, EvalBudget, Objective, counted_evaluate_rows, counted_values, derive_seed, scores_rows
+)
 from batbench.harness import (
     ALGORITHMS,
     Algorithm,
@@ -232,10 +234,11 @@ def test_a_marked_function_of_the_wrong_shape_is_refused_before_any_charge(algor
     )
     with pytest.raises(ValueError, match=message):
         run_trial(algorithm, objective, None, 200, seed=1)
-    budget = EvalBudget(200)
-    with pytest.raises(ValueError, match=message):
-        counted_evaluate_rows(objective, block, budget)
-    assert budget.used == 0
+    for score in (counted_evaluate_rows, lambda *args: next(counted_values(*args))):
+        budget = EvalBudget(200)
+        with pytest.raises(ValueError, match=message):
+            score(objective, block, budget)
+        assert budget.used == 0
 
 
 _NOT_INTEGERS = [
@@ -256,6 +259,26 @@ def test_a_budget_or_count_that_is_not_an_integer_is_refused_before_any_evaluati
         for algorithm in ("bat", "pso", "ga"):
             with pytest.raises(TypeError):
                 run_trial(algorithm, obj, None, value, 0)
+    assert counter.calls == 0
+
+
+_NOT_INTEGER_SIZES = {
+    "bat": lambda obj: ("bat", obj, BatParams(n=4.0)),
+    "pso": lambda obj: ("pso", obj, PsoParams(n=4.0)),
+    "ga": lambda obj: ("ga", obj, GaParams(n=4.0)),
+    "objective": lambda obj: ("bat", dataclasses.replace(obj, dim=2.0), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_INTEGER_SIZES))
+def test_a_population_or_dimension_that_is_not_an_integer_is_refused_where_it_is_given(case):
+    # Refused by the constructor that takes it, never truncated, and not
+    # left for numpy to refuse inside the trial's start-up draw.
+    counter = CallCounter(SPHERE2.fn)
+    with pytest.raises(TypeError) as refused:
+        algorithm, objective, params = _NOT_INTEGER_SIZES[case](dataclasses.replace(SPHERE2, fn=counter))
+        run_trial(algorithm, objective, None, 80, 0, params)
+    assert refused.traceback[-1].name == "__post_init__"
     assert counter.calls == 0
 
 
